@@ -6,8 +6,8 @@ can restore the written tiles from a snapshot and replay the kernel —
 a retry-masked fault leaves the factorization bit-identical to a clean
 run.  :class:`RetryPolicy` is pure configuration (picklable, so the
 multiprocess runtime ships it to workers); the execution loop lives in
-:func:`repro.runtime.core_exec.apply_task_resilient` and in the
-multiprocess worker body.
+:func:`repro.runtime.core_exec.apply_task_resilient`, which every
+runtime's tasks run through.
 """
 
 from __future__ import annotations
@@ -56,9 +56,10 @@ class RetryPolicy:
         Per-task wall-clock budget in seconds; an attempt that takes
         longer is classified as a hang and counted as a failure
         (:class:`~repro.errors.TaskTimeoutError`).  ``None`` disables.
-        In the multiprocess runtime the manager additionally enforces
-        this preemptively per message round-trip (a genuinely hung
-        worker is killed and failed over).
+        Every runtime enforces it per task, multiprocess workers
+        included.  The multiprocess manager also scales it into a
+        per-message reply deadline: the backstop that kills and fails
+        over a worker too hung to reply at all.
     seed:
         Seed for the jitter stream.
     """

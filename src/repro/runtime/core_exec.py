@@ -131,6 +131,11 @@ def _factor_key(task: Task) -> tuple | None:
     return None
 
 
+def factor_store(log) -> dict[tuple, Factors]:
+    """The factor store a reflector log of ``(task, factors)`` pairs implies."""
+    return {_factor_key(task): f for task, f in log}
+
+
 def apply_task_resilient(
     task: Task,
     a: TiledMatrix,

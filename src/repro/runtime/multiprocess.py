@@ -41,11 +41,17 @@ manager runs each panel as a *transaction* that survives device loss:
   sent only to columns that have not absorbed them, so no update is
   ever applied twice.
 
-Workers additionally run their kernels under the same retry envelope as
-the in-process runtimes (snapshot written tiles, replay on retryable
-failure), with optional chaos injection and NaN/Inf health sentinels;
-``resilience.*`` counter increments are piggybacked on every reply and
-folded into the manager's metrics registry.
+Workers run every task through the same
+:func:`~repro.runtime.core_exec.apply_task` the in-process runtimes use
+— inside :func:`~repro.runtime.core_exec.apply_task_resilient` when a
+retry policy is in force, so retries, chaos injection, NaN/Inf health
+sentinels and the per-task ``RetryPolicy.deadline`` behave exactly as
+in the serial and threaded runtimes.  The tasks operate on the
+worker's owned columns through a small column-store adapter.  Each
+worker counts into a private metrics registry; every reply carries the
+counter deltas, which the manager folds into its own registry by name.
+The manager's per-message reply deadline is the backstop for a worker
+that never replies at all.
 
 Mid-run checkpoints are panel-aligned: after every ``checkpoint_every``
 panels the manager gathers the live columns and writes a format-2
@@ -63,47 +69,16 @@ from time import perf_counter
 import numpy as np
 
 from ..core.plan import DistributionPlan
-from ..errors import ShapeError, SimulationError, WorkerFailoverError
-from ..kernels.backends import resolve_backend
-from ..kernels.workspace import Workspace
-from ..tiles import TiledMatrix
-from .factorization import TiledQRFactorization
 from ..dag.tasks import Task, TaskKind
-from ..dag.trees import canonical_tree, resolve_tree
-
-
-class _NullTimer:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_TIMER = _NullTimer()
-
-
-class _EventTimer:
-    """Times one worker-side kernel call into the event buffer."""
-
-    __slots__ = ("events", "key", "clock", "start")
-
-    def __init__(self, events, kind, k, row, row2, col, col_end, clock):
-        self.events = events
-        self.key = (kind, k, row, row2, col, col_end)
-        self.clock = clock
-        self.start = 0.0
-
-    def __enter__(self):
-        self.start = self.clock()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.events.append(self.key + (self.start, self.clock()))
-        return False
+from ..dag.trees import canonical_tree
+from ..errors import SimulationError, WorkerFailoverError
+from ..kernels.backends import resolve_backend
+from ..kernels.geqrt import GEQRTResult
+from ..kernels.tsqrt import TSQRTResult
+from ..kernels.workspace import Workspace, drain_fallbacks
+from .core_exec import Factors, apply_task, apply_task_resilient, factor_store
+from .factorization import TiledQRFactorization
+from .serial import coerce_input, resolve_policy, run_with_bundle_capture
 
 
 class _WorkerDied(Exception):
@@ -116,7 +91,8 @@ class _WorkerDied(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Messages (manager -> worker); workers answer ("ok"|"error", payload, stats).
+# Messages (manager -> worker); workers answer
+# ("ok"|"error", payload, counter deltas, kernel events).
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -130,17 +106,15 @@ class LoadColumns:
 class FactorPanel:
     """Run the panel reduction on panel ``k`` (worker owns col k).
 
-    ``ops`` is the elimination tree's ordered op list — ``("G", row)``
-    for a GEQRT, ``("TS", bot, top)`` / ``("TT", bot, top)`` for a
-    merge — computed manager-side from :mod:`repro.dag.trees` so the
-    worker stays tree-agnostic.  Replies with ``(factors,
-    column_tiles)``: the serialized factors (keys ``(op_kind, k, row,
-    top)``) and a copy of the finished column — the manager's shadow R
-    column for failover.
+    ``tasks`` are the panel's factorization tasks in DAG order, taken
+    manager-side from the elimination tree's DAG so the worker stays
+    tree-agnostic.  Replies with ``(factors, column_tiles)``: one wire
+    payload per task (see :func:`_payload`) and a copy of the finished
+    column — the manager's shadow R column for failover.
     """
 
     k: int
-    ops: list
+    tasks: list[Task]
 
 
 @dataclass
@@ -160,38 +134,22 @@ class SendColumn:
 
 @dataclass
 class Update:
-    """Apply broadcast panel factors to the worker's columns > k.
+    """Apply broadcast panel factors to owned columns.
 
-    ``cols`` restricts the update to an explicit column list (failover
-    re-broadcasts use it so a column never absorbs the same panel's
-    update twice); ``None`` means every owned column right of ``k``.
+    ``factors`` are the panel's wire payloads; ``tasks`` are the update
+    tasks to run against them, in order — per tile, or one batched task
+    per contiguous run of owned columns.  The manager lists only columns
+    that have not absorbed this panel yet, so failover re-broadcasts
+    never apply an update twice.
     """
 
-    k: int
-    factors: list  # [(task_tuple, kind, payload-arrays...)]
-    cols: list[int] | None = None
+    factors: list
+    tasks: list[Task]
 
 
 @dataclass
 class Collect:
     """Return every owned column (non-destructive)."""
-
-
-@dataclass
-class CollectEvents:
-    """Return any residual kernel events (traced/live runs only).
-
-    Events are ``(kind, k, row, row2, col, col_end, start, end)``
-    tuples (``col_end`` is ``-1`` for per-tile kernels) stamped with
-    the worker's ``perf_counter``.  Workers piggyback the buffer on
-    every reply (see ``reply``), so this end-of-run sweep normally
-    returns an empty list — it exists as a backstop for events recorded
-    after the last message's reply was built.  Under the fork start
-    method the clock is shared with the manager (CLOCK_MONOTONIC), so
-    timestamps merge directly; under spawn ``perf_counter`` epochs
-    differ per process, so the manager rebases each buffer with the
-    offset measured by :class:`ClockSync` at worker startup.
-    """
 
 
 @dataclass
@@ -201,7 +159,9 @@ class ClockSync:
     The manager brackets the round-trip with its own clock and takes
     the midpoint as the exchange instant, yielding a manager-minus-
     worker offset accurate to about half the pipe round-trip — plenty
-    for millisecond-scale kernel timelines.
+    for millisecond-scale kernel timelines.  Only spawned workers need
+    it: under the fork start method the clock is shared with the
+    manager (CLOCK_MONOTONIC), so kernel event timestamps merge as-is.
     """
 
 
@@ -221,62 +181,134 @@ def _contiguous_runs(cols: list[int]) -> list[tuple[int, int]]:
     return runs
 
 
-#: Task kinds whose first written tile is an R tile — the targets of the
-#: per-panel residual probe in health-checked runs.
-_FACTOR_KINDS = (TaskKind.GEQRT, TaskKind.TSQRT, TaskKind.TTQRT)
+#: Factorization kind -> (per-tile, batched) kind of the updates that
+#: apply its reflectors to trailing columns.
+_UPDATE_KINDS = {
+    TaskKind.GEQRT: (TaskKind.UNMQR, TaskKind.UNMQR_BATCH),
+    TaskKind.TSQRT: (TaskKind.TSMQR, TaskKind.TSMQR_BATCH),
+    TaskKind.TTQRT: (TaskKind.TTMQR, TaskKind.TTMQR_BATCH),
+}
+
+
+def _update_tasks(factor_tasks, cols, batch: bool) -> list[Task]:
+    """The tasks applying ``factor_tasks`` (in order) to columns ``cols``:
+    one per tile, or one per contiguous column run when ``batch``."""
+    spans = _contiguous_runs(sorted(cols)) if batch else [(j, -1) for j in cols]
+    return [
+        Task(_UPDATE_KINDS[f.kind][batch], f.k, f.row, f.row2, j0, j1)
+        for f in factor_tasks
+        for j0, j1 in spans
+    ]
+
+
+def _payload(task: Task, f: Factors) -> tuple:
+    """Wire form of one factorization result; the R tile never travels."""
+    v = f.v if task.kind is TaskKind.GEQRT else f.v2
+    return (task, v, f.tf, f.taus)
+
+
+def _decode(payload) -> tuple[Task, Factors]:
+    """Rebuild ``(task, factors)`` from a wire payload.
+
+    Shared by the manager's reflector log, the workers' factor stores
+    and failover replay.  ``r`` is an uninitialised placeholder: no R
+    tile is shipped, and the update kernels do not read it.
+    """
+    task, v, tf, taus = payload
+    if task.kind is TaskKind.GEQRT:
+        return task, GEQRTResult(r=np.empty(0), v=v, tf=tf, taus=taus)
+    b = v.shape[1]
+    return task, TSQRTResult(
+        r=np.empty((b, b)), v2=v, tf=tf, taus=taus, kind=task.kind.value[:2]
+    )
+
+
+class _ColumnStore:
+    """The part of :class:`~repro.tiles.TiledMatrix` that
+    :mod:`repro.runtime.core_exec` touches, over ``{col: [tile, ...]}``.
+
+    Workers wrap their owned columns in one; failover replay wraps the
+    single column it rebuilds.  A row panel over several columns is a
+    gathered copy that :meth:`scatter_row_panel` writes back, as in the
+    list-of-tiles ``TiledMatrix`` layout.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict[int, list[np.ndarray]]):
+        self.columns = columns
+
+    def tile(self, i: int, j: int) -> np.ndarray:
+        return self.columns[j][i]
+
+    def set_tile(self, i: int, j: int, value: np.ndarray) -> None:
+        self.columns[j][i][...] = value
+
+    def row_panel(self, i: int, j0: int, j1: int) -> np.ndarray:
+        if j1 - j0 == 1:
+            return self.columns[j0][i]  # the live tile: nothing to scatter
+        return np.hstack([self.columns[j][i] for j in range(j0, j1)])
+
+    def scatter_row_panel(self, i: int, j0: int, j1: int, panel: np.ndarray) -> None:
+        if j1 - j0 == 1:
+            return
+        for j, part in zip(range(j0, j1), np.hsplit(panel, j1 - j0)):
+            self.columns[j][i][...] = part
 
 
 def _worker_main(
     conn,
-    grid_rows: int,
-    grid_cols: int,
     trace: bool = False,
-    batch_updates: bool = False,
     device_id: str = "worker",
     fault_plan=None,
     retry_policy=None,
     health: bool = False,
     backend_name: str = "reference",
 ) -> None:
-    """Worker process body: owns columns, executes kernels on demand."""
+    """Worker process body: a message loop over the owned columns.
+
+    With ``trace`` every task is timed around its whole ``core_exec``
+    call (retries and injected stalls included) as a ``(task, start,
+    end)`` event on the worker's ``perf_counter``.
+    """
+    from ..observability import MetricsRegistry
+    from ..resilience import ChaosEngine
+
     columns: dict[int, list[np.ndarray]] = {}
+    store = _ColumnStore(columns)
     events: list[tuple] = []
     workspace = Workspace()
     # Backends travel by *name* (registered in every process at import),
     # not by pickled object, so spawn and fork behave identically.
     kern = resolve_backend(backend_name)
-    stats = {"retries": 0, "faults_injected": 0, "workspace_fallbacks": 0}
-    chaos = None
-    if fault_plan is not None:
-        from ..resilience import ChaosEngine
-
-        chaos = ChaosEngine(fault_plan, device=device_id)
-    policy = retry_policy
-    if policy is None and (chaos is not None or health):
-        from ..resilience import DEFAULT_RETRY_POLICY
-
-        policy = DEFAULT_RETRY_POLICY
+    metrics = MetricsRegistry()
+    sent: dict[str, float] = {}
+    chaos = (
+        None
+        if fault_plan is None
+        else ChaosEngine(fault_plan, metrics=metrics, device=device_id)
+    )
+    policy = resolve_policy(retry_policy, chaos, health)
 
     def reply(status: str, payload) -> None:
-        stats["workspace_fallbacks"] += workspace.fallbacks
-        workspace.fallbacks = 0
-        delta = dict(stats)
-        for key in stats:
-            stats[key] = 0
-        if events:
-            # Piggyback buffered kernel events on every reply instead of
-            # holding them for the end-of-run CollectEvents: the manager
-            # folds them immediately, so a worker that later dies (kill,
-            # hang, crash) has already delivered everything up to its
-            # last reply — partial activity survives failover, and live
-            # telemetry sees kernels as each message completes.
-            delta["events"] = events[:]
-            events.clear()
-        conn.send((status, payload, delta))
+        # Counter deltas and buffered kernel events ride every reply, so
+        # a worker that later dies (kill, hang, crash) has already
+        # delivered everything up to its last reply — partial activity
+        # survives failover, and live telemetry sees kernels as each
+        # message completes.
+        drain_fallbacks(metrics, workspace)
+        counts = metrics.snapshot()["counters"]
+        deltas = {
+            n: v - sent.get(n, 0.0) for n, v in counts.items() if v != sent.get(n, 0.0)
+        }
+        sent.update(counts)
+        conn.send((status, payload, deltas, events[:]))
+        events.clear()
 
     # Per-column squared norms of the data this worker holds, maintained
     # on column arrival/departure — the reference magnitude for the
-    # per-panel residual probes (health checks only).
+    # per-panel residual probes (health checks only).  Orthogonal
+    # updates preserve it, so the reference stays valid mid-run.
     col_norm_sq: dict[int, float] = {}
 
     def note_columns(cols: dict) -> None:
@@ -285,92 +317,21 @@ def _worker_main(
         for j, tiles in cols.items():
             col_norm_sq[j] = sum(float(np.linalg.norm(t)) ** 2 for t in tiles)
 
-    def run_kernel(task: Task, written_refs, fn):
-        """The worker-side retry envelope around one kernel call.
-
-        ``written_refs`` is a list of zero-arg callables returning the
-        *current* tiles the kernel writes (rebinding-safe); ``fn`` runs
-        the kernel and returns its result.  Mirrors
-        :func:`~repro.runtime.core_exec.apply_task_resilient`.
-        """
+    def run(task: Task, factors: dict) -> Factors | None:
+        t0 = perf_counter()
         if policy is None:
-            return fn()
-        from ..resilience import RETRYABLE
-        from ..resilience.health import check_task_outputs, panel_residual_probe
-
-        last = None
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
-                stats["retries"] += 1
-                import time as _t
-
-                pause = policy.backoff_seconds(attempt, key=task.sort_key())
-                if pause > 0.0:
-                    _t.sleep(pause)
-            written = [ref() for ref in written_refs]
-            snapshot = [w.copy() for w in written]
-            try:
-                stall = 0.0
-                if chaos is not None:
-                    fired_before = chaos.faults_injected
-                    inj0 = perf_counter()
-                    chaos.before_task(task, device_id)
-                    stall = perf_counter() - inj0
-                out = fn()
-                written = [ref() for ref in written_refs]
-                if chaos is not None:
-                    chaos.corrupt_outputs(task, written, device_id)
-                    stats["faults_injected"] += chaos.faults_injected - fired_before
-                    if trace and stall > 0.0 and events:
-                        # Fold an injected delay/hang into the task's
-                        # timed slot: the threaded runtime times around
-                        # the injection point, so the trace (and live
-                        # straggler detection) must see the slow task
-                        # here too.
-                        *key, t0, t1 = events[-1]
-                        events[-1] = (*key, t0 - stall, t1)
-                if health:
-                    check_task_outputs(task, written)
-                    if task.kind in _FACTOR_KINDS and col_norm_sq:
-                        # Residual probe against the norm of the columns
-                        # this worker holds (orthogonal updates preserve
-                        # it, so the reference stays valid mid-run).
-                        panel_residual_probe(
-                            written[0], sum(col_norm_sq.values()) ** 0.5, task.k
-                        )
-                return out
-            except RETRYABLE as exc:
-                if chaos is not None:
-                    stats["faults_injected"] += chaos.faults_injected - fired_before
-                # Restore *through the refs*: kernels may have rebound the
-                # column slot to a fresh array, and the live one is what
-                # the retry will read.
-                for ref, s in zip(written_refs, snapshot):
-                    ref()[...] = s
-                last = exc
-                if attempt == policy.max_attempts:
-                    raise
-        raise last  # pragma: no cover - unreachable
-
-    def timed(kind: str, k: int, row: int, row2: int, col: int, col_end: int = -1):
-        if not trace:
-            return _NULL_TIMER
-        return _EventTimer(events, kind, k, row, row2, col, col_end, perf_counter)
-
-    def gather(j0: int, j1: int, row: int) -> np.ndarray:
-        """Row panel over owned columns ``[j0, j1)`` (zero-copy if single)."""
-        if j1 - j0 == 1:
-            return columns[j0][row]
-        return np.hstack([columns[j][row] for j in range(j0, j1)])
-
-    def scatter(j0: int, j1: int, row: int, panel: np.ndarray) -> None:
-        if j1 - j0 == 1:
-            return  # kernel operated on the tile in place
-        off = 0
-        for j in range(j0, j1):
-            w = columns[j][row].shape[1]
-            columns[j][row][...] = panel[:, off : off + w]
-            off += w
+            produced = apply_task(task, store, factors, workspace, backend=kern)
+        else:
+            ref_norm = sum(col_norm_sq.values()) ** 0.5 if col_norm_sq else None
+            produced = apply_task_resilient(
+                task, store, factors, workspace,
+                policy=policy, backend=kern, chaos=chaos, health=health,
+                health_ref_norm=ref_norm,
+                metrics=metrics, device=device_id,
+            )
+        if trace:
+            events.append((task, t0, perf_counter()))
+        return produced
 
     try:
         while True:
@@ -392,158 +353,16 @@ def _worker_main(
                 col_norm_sq.pop(msg.col, None)
                 reply("ok", columns.pop(msg.col))
             elif isinstance(msg, FactorPanel):
-                k = msg.k
-                col = columns[k]
-                out = []
-                for op in msg.ops:
-                    if op[0] == "G":
-                        row = op[1]
-
-                        def do_geqrt(row=row):
-                            with timed("GEQRT", k, row, row, k):
-                                fg = kern.geqrt(col[row])
-                            col[row] = fg.r.copy()
-                            return fg
-
-                        task = Task(TaskKind.GEQRT, k, row, row, k)
-                        fg = run_kernel(task, [lambda row=row: col[row]], do_geqrt)
-                        out.append((("G", k, row, row), fg.v, fg.tf, fg.taus))
-                    else:
-                        op_kind, bot, top = op
-                        tt = op_kind == "TT"
-
-                        def do_merge(bot=bot, top=top, tt=tt):
-                            with timed("TTQRT" if tt else "TSQRT", k, bot, top, k):
-                                fe = (kern.ttqrt if tt else kern.tsqrt)(
-                                    col[top], col[bot]
-                                )
-                            col[top] = fe.r.copy()
-                            col[bot][...] = 0.0
-                            return fe
-
-                        task = Task(
-                            TaskKind.TTQRT if tt else TaskKind.TSQRT, k, bot, top, k
-                        )
-                        fe = run_kernel(
-                            task,
-                            [lambda r=top: col[r], lambda r=bot: col[r]],
-                            do_merge,
-                        )
-                        out.append(((op_kind, k, bot, top), fe.v2, fe.tf, fe.taus))
-                reply("ok", (out, [t.copy() for t in col]))
+                factors: dict = {}
+                out = [_payload(t, run(t, factors)) for t in msg.tasks]
+                reply("ok", (out, [t.copy() for t in columns[msg.k]]))
             elif isinstance(msg, Update):
-                k = msg.k
-                from ..kernels.geqrt import GEQRTResult
-                from ..kernels.tsqrt import TSQRTResult
-
-                if msg.cols is None:
-                    targets = sorted(j for j in columns if j > k)
-                else:
-                    # Preserve the manager's order: columns arrive sorted
-                    # by critical-path rank (most critical first).
-                    targets = [j for j in msg.cols if j in columns and j > k]
-                runs = _contiguous_runs(sorted(targets))
-                if targets:
-                    order = {j: n for n, j in enumerate(targets)}
-                    runs.sort(key=lambda r: min(order[j] for j in range(r[0], r[1])))
-                for key, v, tf, taus in msg.factors:
-                    kind, kk, row, top = key
-                    if kind == "G":
-                        f = GEQRTResult(r=np.empty(0), v=v, tf=tf, taus=taus)
-                        if batch_updates:
-                            # One wide panel per contiguous run of owned
-                            # columns: fewer, larger GEMMs (see
-                            # docs/PERFORMANCE.md).
-                            for j0, j1 in runs:
-
-                                def do_batch(j0=j0, j1=j1, f=f, kk=kk, row=row):
-                                    panel = gather(j0, j1, row)
-                                    with timed("UNMQR_BATCH", kk, row, row, j0, j1):
-                                        kern.unmqr_batch(f, panel, workspace=workspace)
-                                    scatter(j0, j1, row, panel)
-
-                                task = Task(TaskKind.UNMQR_BATCH, kk, row, row, j0, j1)
-                                run_kernel(
-                                    task,
-                                    [
-                                        (lambda j=j, row=row: columns[j][row])
-                                        for j in range(j0, j1)
-                                    ],
-                                    do_batch,
-                                )
-                        else:
-                            for col_idx in targets:
-
-                                def do_unmqr(col_idx=col_idx, f=f, kk=kk, row=row):
-                                    with timed("UNMQR", kk, row, row, col_idx):
-                                        kern.unmqr(f, columns[col_idx][row], workspace=workspace)
-
-                                task = Task(TaskKind.UNMQR, kk, row, row, col_idx)
-                                run_kernel(
-                                    task,
-                                    [lambda j=col_idx, row=row: columns[j][row]],
-                                    do_unmqr,
-                                )
-                    else:
-                        tt = kind == "TT"
-                        f = TSQRTResult(
-                            r=np.empty((v.shape[1], v.shape[1])),
-                            v2=v, tf=tf, taus=taus,
-                            kind="TT" if tt else "TS",
-                        )
-                        pair_batch = kern.ttmqr_batch if tt else kern.tsmqr_batch
-                        pair_tile = kern.ttmqr if tt else kern.tsmqr
-                        batch_kind = (
-                            TaskKind.TTMQR_BATCH if tt else TaskKind.TSMQR_BATCH
-                        )
-                        tile_kind = TaskKind.TTMQR if tt else TaskKind.TSMQR
-                        if batch_updates:
-                            for j0, j1 in runs:
-
-                                def do_batch(
-                                    j0=j0, j1=j1, f=f, kk=kk, row=row, top=top,
-                                    fn=pair_batch, label=batch_kind.name,
-                                ):
-                                    tpan = gather(j0, j1, top)
-                                    bpan = gather(j0, j1, row)
-                                    with timed(label, kk, row, top, j0, j1):
-                                        fn(f, tpan, bpan, workspace=workspace)
-                                    scatter(j0, j1, top, tpan)
-                                    scatter(j0, j1, row, bpan)
-
-                                task = Task(batch_kind, kk, row, top, j0, j1)
-                                refs = [
-                                    (lambda j=j, r=r: columns[j][r])
-                                    for j in range(j0, j1)
-                                    for r in (top, row)
-                                ]
-                                run_kernel(task, refs, do_batch)
-                        else:
-                            for col_idx in targets:
-
-                                def do_pair(
-                                    col_idx=col_idx, f=f, kk=kk, row=row, top=top,
-                                    fn=pair_tile, label=tile_kind.name,
-                                ):
-                                    with timed(label, kk, row, top, col_idx):
-                                        fn(
-                                            f,
-                                            columns[col_idx][top],
-                                            columns[col_idx][row],
-                                            workspace=workspace,
-                                        )
-
-                                task = Task(tile_kind, kk, row, top, col_idx)
-                                refs = [
-                                    lambda j=col_idx, r=top: columns[j][r],
-                                    lambda j=col_idx, r=row: columns[j][r],
-                                ]
-                                run_kernel(task, refs, do_pair)
+                factors = factor_store(map(_decode, msg.factors))
+                for t in msg.tasks:
+                    run(t, factors)
                 reply("ok", None)
             elif isinstance(msg, Collect):
                 reply("ok", columns)
-            elif isinstance(msg, CollectEvents):
-                reply("ok", events)
             else:  # pragma: no cover - protocol guard
                 reply("error", f"unknown message {type(msg).__name__}")
                 return
@@ -565,24 +384,27 @@ class MultiprocessRuntime:
         Column/panel ownership (one worker is spawned per participant).
     elimination:
         Elimination-tree name or alias (see :mod:`repro.dag.trees`);
-        the manager computes each panel's op list from the tree and
-        ships it to the panel owner, so every registered tree runs
-        distributed.  Checkpoints record the canonical tree name and
-        resume only on a runtime configured with the same tree.
+        the manager takes each panel's factorization tasks from the
+        tree's DAG and ships them to the panel owner, so every
+        registered tree runs distributed.  Checkpoints record the
+        canonical tree name and resume only on a runtime configured
+        with the same tree.
     tracer:
         Optional :class:`repro.observability.Tracer`.  Workers buffer
-        per-kernel events locally (zero IPC on the hot path) and the
-        manager merges the buffers at join, under each worker's device
-        id; column migrations and factor broadcasts are recorded as
+        per-task events locally and ship them with each reply; the
+        manager merges them under each worker's device id; column
+        migrations and factor broadcasts are recorded as
         transfers with their real pickled byte counts.
     retry_policy:
         Optional :class:`~repro.resilience.RetryPolicy`.  Enables the
-        fault-tolerant path: workers retry kernels per the policy, and
+        fault-tolerant path: workers run tasks through
+        :func:`~repro.runtime.core_exec.apply_task_resilient`, so they
+        retry per the policy and enforce ``policy.deadline`` per task;
         the manager classifies pipe EOF / persistent failure / missed
         reply deadlines as device death and fails over (see module
-        docstring).  ``policy.deadline`` is the per-kernel budget; the
-        manager scales it by the kernel count of each message to get
-        the reply deadline.
+        docstring).  The reply deadline — ``policy.deadline`` scaled by
+        the kernel count of each message — is the backstop for a worker
+        that never replies.
     chaos_plan:
         Optional :class:`~repro.resilience.FaultPlan` shipped to every
         worker (specs select workers via their ``device`` field).
@@ -669,8 +491,6 @@ class MultiprocessRuntime:
     ) -> TiledQRFactorization:
         if self.bundle_out is None:
             return self._factorize(a, tile_size, resume)
-        from .serial import run_with_bundle_capture
-
         meta = {
             "runtime": "multiprocess",
             "elimination": self.elimination,
@@ -695,18 +515,11 @@ class MultiprocessRuntime:
             tiled, k0, log0 = self._resume_state(resume)
             arr_shape = resume.shape
         else:
-            arr = np.asarray(a, dtype=np.float64)
-            if arr.ndim != 2:
-                raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-            if arr.shape[0] < arr.shape[1]:
-                raise ShapeError(f"QR requires m >= n, got shape {arr.shape}")
             b0 = tile_size if tile_size is not None else self.plan.tile_size
-            tiled = TiledMatrix.from_dense(arr, b0)
-            arr_shape = arr.shape
+            tiled, arr_shape = coerce_input(a, b0, False, dtype=np.float64)
             k0, log0 = 0, []
         b = tiled.tile_size
         p, q = tiled.grid_rows, tiled.grid_cols
-        tree = resolve_tree(self.elimination)
 
         # Critical-path column priorities (see docs/PERFORMANCE.md):
         # rank each trailing column of each panel by the highest
@@ -715,27 +528,17 @@ class MultiprocessRuntime:
         from ..dag import build_dag
         from ..dag.analysis import bottom_level_ranks, task_weight_model
 
-        ref_dag = build_dag(p, q, tree, batch_updates=False)
+        ref_dag = build_dag(p, q, self.elimination, batch_updates=False)
         col_rank: dict[tuple[int, int], float] = {}
         for t, r in bottom_level_ranks(ref_dag, task_weight_model(b)).items():
             key = (t.k, t.col)
             if r > col_rank.get(key, -1.0):
                 col_rank[key] = r
 
-        def panel_ops(k: int) -> list:
-            ops: list = [("G", i) for i in tree.geqrt_rows(k, p)]
-            merge = "TT" if tree.uses_tt else "TS"
-            ops += [(merge, bot, top) for bot, top in tree.pairs(k, p)]
-            return ops
-
         tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
         metrics = self.metrics
         bus = self.bus
-        policy = self.retry_policy
-        if policy is None and self.resilient:
-            from ..resilience import DEFAULT_RETRY_POLICY
-
-            policy = DEFAULT_RETRY_POLICY
+        policy = resolve_policy(self.retry_policy, self.chaos_plan, self.health_checks)
         resilient = self.resilient
 
         # fork keeps worker startup cheap and the perf_counter clock
@@ -752,8 +555,7 @@ class MultiprocessRuntime:
             proc = ctx.Process(
                 target=_worker_main,
                 args=(
-                    child, p, q, tracer is not None or bus is not None,
-                    self.batch_updates,
+                    child, tracer is not None or bus is not None,
                     dev, self.chaos_plan, self.retry_policy, self.health_checks,
                     self.backend.name,
                 ),
@@ -779,11 +581,14 @@ class MultiprocessRuntime:
         def alive() -> list[str]:
             return [d for d in self.plan.participants if d not in dead]
 
-        def fold_events(dev: str, evts) -> None:
-            """Merge one worker's kernel-event batch (ClockSync-rebased)."""
+        def fold_reply(dev: str, counts: dict, evts: list) -> None:
+            """Fold one reply's counter deltas and kernel events; event
+            times are rebased onto the manager clock (see ClockSync)."""
+            if metrics is not None:
+                for name, n in counts.items():
+                    metrics.counter(name).inc(n)
             off = clock_offset.get(dev, 0.0)
-            for kind, kk, row, row2, col, col_end, start, end in evts:
-                task = Task(TaskKind[kind], kk, row, row2, col, col_end)
+            for task, start, end in evts:
                 if tracer is not None:
                     tracer.record_task(
                         task, device=dev, start=start + off, end=end + off,
@@ -791,22 +596,6 @@ class MultiprocessRuntime:
                     )
                 if bus is not None:
                     bus.task_finish(task, dev, start=start + off, end=end + off)
-
-        def fold_stats(dev: str, delta: dict) -> None:
-            if not delta:
-                return
-            evts = delta.pop("events", None)
-            if evts:
-                fold_events(dev, evts)
-            if metrics is None:
-                return
-            for name, n in delta.items():
-                if not n:
-                    continue
-                if name == "workspace_fallbacks":
-                    metrics.counter("kernel.workspace.fallbacks").inc(n)
-                else:
-                    metrics.counter(f"resilience.{name}").inc(n)
 
         def ask(dev: str, msg, xfer=None, n_kernels: int = 1):
             """Round-trip one message; ``xfer=(src, bytes, tag)`` records
@@ -864,13 +653,13 @@ class MultiprocessRuntime:
                         raise _WorkerDied(
                             dev, f"no reply within {budget:.1f}s (hung?)"
                         )
-                status, payload, stats = conn.recv()
+                status, payload, counts, evts = conn.recv()
             except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as exc:
                 err = _WorkerDied(dev, f"pipe closed ({type(exc).__name__})")
                 if resilient:
                     raise err from None
                 raise SimulationError(str(err)) from None
-            fold_stats(dev, stats)
+            fold_reply(dev, counts, evts)
             if bus is not None:
                 bus.publish("heartbeat", dev, {"message": type(msg).__name__})
             if status != "ok":
@@ -894,32 +683,20 @@ class MultiprocessRuntime:
         def replay_column(j: int) -> list[np.ndarray]:
             """Reconstruct trailing column ``j`` manager-side.
 
-            Replays the logged per-tile update kernels for panels
+            Replays the logged per-tile update tasks for panels
             ``base_level[j]+1 .. applied[j]`` against the pristine base
-            column — the same kernels in the same order a per-tile
-            worker would have run, so the rebuilt column is
-            bit-identical to the lost one (see docs/RELIABILITY.md for
-            the batched-update caveat).
+            column — the same tasks in the same order a per-tile worker
+            would have run, so the rebuilt column is bit-identical to
+            the lost one (see docs/RELIABILITY.md for the batched-update
+            caveat).
             """
-            from ..kernels.geqrt import GEQRTResult
-            from ..kernels.tsqrt import TSQRTResult
-
-            col = [t.copy() for t in base[j]]
+            store = _ColumnStore({j: [t.copy() for t in base[j]]})
             for kk in range(base_level[j] + 1, applied[j] + 1):
-                for key, v, tf, taus in panel_factors[kk]:
-                    kind, kp, row, top = key
-                    if kind == "G":
-                        f = GEQRTResult(r=np.empty(0), v=v, tf=tf, taus=taus)
-                        self.backend.unmqr(f, col[row])
-                    else:
-                        tt = kind == "TT"
-                        f = TSQRTResult(
-                            r=np.empty((v.shape[1], v.shape[1])),
-                            v2=v, tf=tf, taus=taus, kind="TT" if tt else "TS",
-                        )
-                        fn = self.backend.ttmqr if tt else self.backend.tsmqr
-                        fn(f, col[top], col[row])
-            return col
+                logged = [_decode(x) for x in panel_factors[kk]]
+                factors = factor_store(logged)
+                for task in _update_tasks([t for t, _ in logged], [j], False):
+                    apply_task(task, store, factors, backend=self.backend)
+            return store.columns[j]
 
         def recover_column(j: int) -> list[np.ndarray]:
             if panel_done.get(j):
@@ -1046,15 +823,16 @@ class MultiprocessRuntime:
                     )
                 col_home[k] = owner_p
             if not panel_done.get(k):
-                ops = panel_ops(k)
+                tasks = [t for t in ref_dag.panel_tasks(k) if not t.step.is_update]
                 factors, r_col = ask(
-                    owner_p, FactorPanel(k=k, ops=ops), n_kernels=max(1, len(ops))
+                    owner_p, FactorPanel(k=k, tasks=tasks), n_kernels=len(tasks)
                 )
                 panel_factors[k] = factors
                 shadow_r[k] = r_col
                 panel_done[k] = True
-                log.extend(_deserialize_log(factors, b))
+                log.extend(map(_decode, factors))
             factors = panel_factors[k]
+            factor_tasks = [f[0] for f in factors]
             bcast_bytes = float(sum(x.nbytes for f in factors for x in f[1:]))
 
             def crit(j: int) -> float:
@@ -1077,7 +855,10 @@ class MultiprocessRuntime:
                 xfer = (owner_p, bcast_bytes, f"bcast{k}") if dev != owner_p else None
                 ask(
                     dev,
-                    Update(k=k, factors=factors, cols=cols),
+                    Update(
+                        factors=factors,
+                        tasks=_update_tasks(factor_tasks, cols, self.batch_updates),
+                    ),
                     xfer=xfer,
                     n_kernels=len(cols) * max(1, p - k),
                 )
@@ -1208,7 +989,7 @@ class MultiprocessRuntime:
                     write_checkpoint(k)
                     since_ckpt = 0
 
-            # --- gather the R factor (and any residual worker events) ----
+            # --- gather the R factor -------------------------------------
             gathered: set[int] = set()
             for dev in list(alive()):
                 try:
@@ -1217,11 +998,6 @@ class MultiprocessRuntime:
                         for i in range(p):
                             tiled.set_tile(i, j, tiles[i])
                         gathered.add(j)
-                    if tracer is not None or bus is not None:
-                        # Normally empty: events ride each reply's stats
-                        # delta and are folded there; this sweeps any
-                        # recorded after the last reply was built.
-                        fold_events(dev, ask(dev, CollectEvents()))
                     ask(dev, Shutdown())
                 except _WorkerDied as exc:
                     note_death(exc.device, n_panels, f"died at gather: {exc.reason}")
@@ -1292,28 +1068,3 @@ class MultiprocessRuntime:
             )
         return tiled, done_panels, list(resume.log)
 
-
-def _deserialize_log(factors, b: int):
-    """Rebuild kernel-result objects from a worker's factor payload."""
-    from ..kernels.geqrt import GEQRTResult
-    from ..kernels.tsqrt import TSQRTResult
-
-    out = []
-    for key, v, tf, taus in factors:
-        kind, k, row, top = key
-        if kind == "G":
-            task = Task(TaskKind.GEQRT, k, row, row, k)
-            out.append((task, GEQRTResult(r=np.empty(0), v=v, tf=tf, taus=taus)))
-        else:
-            tt = kind == "TT"
-            task = Task(TaskKind.TTQRT if tt else TaskKind.TSQRT, k, row, top, k)
-            out.append(
-                (
-                    task,
-                    TSQRTResult(
-                        r=np.empty((b, b)), v2=v, tf=tf, taus=taus,
-                        kind="TT" if tt else "TS",
-                    ),
-                )
-            )
-    return out

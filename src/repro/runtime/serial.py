@@ -13,6 +13,7 @@ way a parallel resume expects.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from heapq import heappop, heappush
 
 import numpy as np
@@ -22,11 +23,11 @@ from ..dag import build_dag
 from ..dag.analysis import bottom_level_ranks, task_weight_model
 from ..dag.tasks import Task
 from ..dag.trees import canonical_tree
-from ..errors import ShapeError, SimulationError
+from ..errors import ShapeError, SimulationError, TilingError
 from ..kernels.backends import resolve_backend
 from ..kernels.workspace import Workspace, drain_fallbacks
 from ..tiles import TiledMatrix
-from .core_exec import Factors, apply_task, apply_task_resilient
+from .core_exec import apply_task, apply_task_resilient, factor_store
 from .factorization import TiledQRFactorization
 
 
@@ -88,8 +89,13 @@ def run_with_bundle_capture(runtime, call, *, fault_plan=None, plan=None, meta=N
         capture.close()
 
 
-def coerce_input(a, tile_size: int, batch_updates: bool):
-    """Shared dense/tiled input handling: returns ``(tiled, shape)``."""
+def coerce_input(a, tile_size: int, batch_updates: bool, dtype=None):
+    """Shared dense/tiled input handling: returns ``(tiled, shape)``.
+
+    Dense input must be a real 2-D matrix with ``m >= n``; complex input
+    is rejected rather than silently cast to real.  ``dtype``, when
+    given, is the dtype dense input is tiled in (after the checks).
+    """
     if isinstance(a, TiledMatrix):
         return a, a.shape
     arr = np.asarray(a)
@@ -97,8 +103,12 @@ def coerce_input(a, tile_size: int, batch_updates: bool):
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.shape[0] < arr.shape[1]:
         raise ShapeError(f"QR requires m >= n, got shape {arr.shape}")
+    if np.iscomplexobj(arr):
+        raise TilingError(
+            f"complex input ({arr.dtype}) is not supported: tiled QR is real-only"
+        )
     tiled = TiledMatrix.from_dense(
-        arr, tile_size, storage="rowmajor" if batch_updates else "tiles"
+        arr, tile_size, dtype=dtype, storage="rowmajor" if batch_updates else "tiles"
     )
     return tiled, arr.shape
 
@@ -344,7 +354,6 @@ class SerialRuntime:
         dag = build_dag(
             tiled.grid_rows, tiled.grid_cols, self.elimination, self.batch_updates
         )
-        factors: dict[tuple, Factors] = {}
         log: list = []
         completed: set = set()
         completed_order: list = []
@@ -354,13 +363,7 @@ class SerialRuntime:
             )
             completed_order = list(resume.completed)
             log = list(resume.log)
-            for task, f in log:
-                key = (
-                    ("Vg", task.row, task.k)
-                    if task.kind.name == "GEQRT"
-                    else ("Ve", task.row, task.k)
-                )
-                factors[key] = f
+        factors = factor_store(log)
         total = len(dag.tasks)
         tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
         b = tiled.tile_size
@@ -448,17 +451,7 @@ class SerialRuntime:
         return TiledQRFactorization(r=tiled, log=log, shape=shape)
 
 
-class _NullCtx:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_CTX = _NullCtx()
+_NULL_CTX = nullcontext()  # reusable: no per-task allocation on the hot path
 
 
 def tiled_qr(

@@ -57,7 +57,7 @@ from ..errors import ShapeError, SimulationError
 from ..kernels.backends import resolve_backend
 from ..kernels.workspace import Workspace, drain_fallbacks
 from ..tiles import TiledMatrix
-from .core_exec import Factors, apply_task, apply_task_resilient
+from .core_exec import Factors, apply_task, apply_task_resilient, factor_store
 from .factorization import TiledQRFactorization
 from .serial import (
     _CheckpointWriter,
@@ -197,7 +197,6 @@ class ThreadedRuntime:
         dag = build_dag(
             tiled.grid_rows, tiled.grid_cols, self.elimination, self.batch_updates
         )
-        factors: dict[tuple, Factors] = {}
         log: list[tuple[Task, Factors]] = []
         completed_set: set[Task] = set()
         completed_order: list[Task] = []
@@ -207,13 +206,7 @@ class ThreadedRuntime:
             )
             completed_order = list(resume.completed)
             log = list(resume.log)
-            for task, f in log:
-                key = (
-                    ("Vg", task.row, task.k)
-                    if task.kind.name == "GEQRT"
-                    else ("Ve", task.row, task.k)
-                )
-                factors[key] = f
+        factors = factor_store(log)
 
         remaining = {
             t: sum(1 for d in dag.preds[t] if d not in completed_set)

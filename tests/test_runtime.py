@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ShapeError
+from repro.errors import ShapeError, TilingError
 from repro.kernels.householder import householder_qr
-from repro.runtime import SerialRuntime, ThreadedRuntime, tiled_qr
+from repro.runtime import MultiprocessRuntime, SerialRuntime, ThreadedRuntime, tiled_qr
 from repro.runtime.factorization import back_substitution
 from repro.tiles import TiledMatrix
 
@@ -98,6 +98,25 @@ class TestThreadedRuntime:
     def test_rejects_wide(self, rng):
         with pytest.raises(ShapeError):
             ThreadedRuntime().factorize(rng.standard_normal((8, 16)))
+
+
+@pytest.mark.parametrize("runtime", ["serial", "threaded", "multiprocess"])
+def test_rejects_complex_input(rng, optimizer, runtime):
+    """Complex input is refused with a config-class error (CLI exit
+    code 2) instead of being cast to real with a ComplexWarning."""
+    from repro.cli import EXIT_CONFIG, exit_code_for
+
+    make = {
+        "serial": SerialRuntime,
+        "threaded": lambda: ThreadedRuntime(num_workers=2),
+        "multiprocess": lambda: MultiprocessRuntime(
+            optimizer.plan(matrix_size=32, num_devices=2)
+        ),
+    }[runtime]
+    a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    with pytest.raises(TilingError, match="complex") as info:
+        make().factorize(a, 16)
+    assert exit_code_for(info.value) == EXIT_CONFIG
 
 
 class TestFactorizationOps:
