@@ -462,7 +462,7 @@ def _cmd_chaos(args) -> int:
                 bundle_out=args.bundle_out,
             ).factorize(a, args.tile_size)
         else:
-            chaos = ChaosEngine(plan, metrics=metrics, tracer=tracer, bus=bus)
+            chaos = ChaosEngine(plan)
             kwargs = dict(
                 elimination=tree,
                 tracer=tracer,
@@ -618,6 +618,7 @@ def _cmd_top(args) -> int:
         elimination=tree, batch_updates=args.batch_updates,
         retry_policy=policy, metrics=metrics, backend=args.backend, bus=bus,
     )
+    chaos = ChaosEngine(chaos_plan) if chaos_plan is not None else None
     if args.runtime == "multiprocess":
         from .core.optimizer import Optimizer
         from .devices.registry import paper_testbed
@@ -630,18 +631,10 @@ def _cmd_top(args) -> int:
     elif args.runtime == "threaded":
         from .runtime.threaded import ThreadedRuntime
 
-        chaos = (
-            ChaosEngine(chaos_plan, metrics=metrics, bus=bus)
-            if chaos_plan is not None else None
-        )
         runtime = ThreadedRuntime(num_workers=args.workers, chaos=chaos, **kwargs)
     else:
         from .runtime.serial import SerialRuntime
 
-        chaos = (
-            ChaosEngine(chaos_plan, metrics=metrics, bus=bus)
-            if chaos_plan is not None else None
-        )
         runtime = SerialRuntime(chaos=chaos, **kwargs)
 
     outcome: dict = {}

@@ -1,35 +1,42 @@
 """In-run telemetry bus: bounded, lock-cheap pub/sub of live events.
 
-Post-hoc tracing (:mod:`repro.observability.tracer`) buffers everything
-and merges at join — nothing is visible while a factorization runs.
-:class:`TelemetryBus` is the streaming counterpart: the runtimes publish
-task start/finish, retry, fault, failover, checkpoint, and heartbeat
-events *as they happen*, and any number of subscribers (the
-:class:`~repro.observability.live.progress.ProgressTracker`, the
-:class:`~repro.observability.live.straggler.StragglerDetector`, the
-streaming JSONL sink, the ``tiledqr top`` dashboard) consume them live.
+The runtimes publish every event they emit — task start/finish,
+transfers, retries, faults, failovers, checkpoints, heartbeats — on one
+:class:`TelemetryBus` *as it happens*; it is their only emission point.
+Two kinds of observer read that stream:
 
-Design constraints, mirroring the tracer's:
+* **folds** (:meth:`TelemetryBus.fold`) — synchronous and lossless: the
+  publishing thread calls each fold for every event, right after the
+  ring append and outside the lock.  The
+  :class:`~repro.observability.Tracer` and the ``resilience.*``
+  counters of :class:`~repro.observability.MetricsRegistry` are folds,
+  so a trace or a counter never depends on the ring size, the
+  dispatcher, or its polling.  Folds must be cheap and must not block;
+* **subscribers** (:meth:`TelemetryBus.subscribe`) — asynchronous and
+  ring-buffered: the :class:`~repro.observability.ProgressTracker`,
+  the :class:`~repro.observability.StragglerDetector`, the streaming
+  JSONL sink and the ``tiledqr top`` dashboard do I/O or heavier
+  folding, so they run on a dedicated dispatcher thread, *never* on
+  the publishing worker's kernel hot path.
 
-* **zero overhead when absent** — the runtimes accept ``bus=None`` and
-  resolve the check once per factorize; no bus object exists on the
-  default path, so the disabled-tracer overhead gate is untouched;
+Design constraints:
+
+* **zero overhead when absent** — the runtimes create no bus when they
+  have no bus, no enabled tracer and no metrics, so the default path
+  publishes nothing and the disabled-tracer overhead gate is untouched;
 * **bounded** — events land in a ring buffer (``capacity`` newest
   events); a stalled or absent poller can never make the run grow
   memory without bound;
 * **lock-cheap publish** — one short critical section assigns the
-  sequence number, appends to the ring, and signals the dispatcher;
-  subscriber callbacks (JSON encoding, file writes, progress folding)
-  run on a dedicated dispatcher thread, *never* on the publishing
-  worker's kernel hot path.  Synchronous delivery was measured at
-  25-50% wall-time on a threaded 512 x 512 run (workers serializing on
-  the sink's file I/O); asynchronous delivery keeps the full pipeline
-  inside the ≤5% live-overhead budget.  :meth:`drain` blocks until
-  every published event has been delivered — the runtimes call it
-  before returning, so ``factorize()`` + bus still *looks*
-  synchronous: when it returns, subscribers have seen everything.  A
-  failing subscriber is detached rather than allowed to poison
-  delivery.
+  sequence number and appends to the ring; the dispatcher polls.
+  Synchronous subscriber delivery was measured at 25-50% wall-time on
+  a threaded 512 x 512 run (workers serializing on the sink's file
+  I/O); asynchronous delivery keeps the full pipeline inside the ≤5%
+  live-overhead budget.  :meth:`drain` blocks until every published
+  event has been delivered — the runtimes call it before returning,
+  so ``factorize()`` + bus still *looks* synchronous: when it returns,
+  subscribers have seen everything.  A failing subscriber is detached
+  rather than allowed to poison delivery.
 
 Event vocabulary (the ``type`` field):
 
@@ -38,8 +45,12 @@ Event vocabulary (the ``type`` field):
 ``run.finish``      factorization done (tasks executed)
 ``task.start``      a kernel slot opened on a device
 ``task.finish``     a kernel completed (start/end/duration, coords)
+``transfer``        data moved between devices (src, dst, bytes,
+                    start, end, tag; multiprocess)
 ``retry``           a retry attempt is about to replay a task
-``task.error``      a kernel attempt failed (type, message, retryable)
+``task.error``      a kernel attempt failed (type, message, retryable);
+                    also a worker that missed its reply deadline
+                    (``TaskTimeoutError``, multiprocess)
 ``fault``           the chaos engine injected a fault
 ``failover``        a device died / columns migrated (multiprocess)
 ``checkpoint``      a mid-run snapshot was written
@@ -71,7 +82,7 @@ DEFAULT_CAPACITY = 8192
 DISPATCH_POLL_SECONDS = 0.02
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiveEvent:
     """One telemetry event on the bus.
 
@@ -161,6 +172,8 @@ class TelemetryBus:
         self._cv = threading.Condition(self._lock)
         self._seq = 0
         self._subscribers: list[Callable[[LiveEvent], None]] = []
+        #: Replaced, never mutated, so publish iterates it lock-free.
+        self._folds: tuple[Callable[[LiveEvent], None], ...] = ()
         self._dispatcher: threading.Thread | None = None
         self._delivered_seq = 0
         self._closed = False
@@ -178,25 +191,26 @@ class TelemetryBus:
         data: dict | None = None,
         t: float | None = None,
     ) -> LiveEvent:
-        """Append one event and wake the dispatcher.
+        """Append one event to the ring and run every fold on it.
 
         Returns the published event (tests and sinks use the assigned
-        sequence number).  Subscribers are notified asynchronously from
-        the dispatcher thread; a raising subscriber is detached and
-        counted in :attr:`dropped_subscribers`.  Use :meth:`drain` to
-        wait for delivery.
+        sequence number).  Folds run here, in the publishing thread;
+        subscribers are notified asynchronously from the dispatcher
+        thread, and a raising subscriber is detached and counted in
+        :attr:`dropped_subscribers`.  Use :meth:`drain` to wait for
+        delivery.
         """
         when = self.clock() if t is None else t
-        with self._cv:
+        # The plain lock, not the Condition: publish never notifies.
+        # Waking the dispatcher per event costs ~20% wall-time in
+        # context-switch/GIL thrash on a threaded run; it polls every
+        # DISPATCH_POLL_SECONDS and drains whatever accumulated.
+        with self._lock:
             self._seq += 1
-            event = LiveEvent(
-                seq=self._seq, type=type, t=when, device=device, data=data or {}
-            )
+            event = LiveEvent(self._seq, type, when, device, data or {})
             self._ring.append(event)
-            # Deliberately no notify: waking the dispatcher per event
-            # costs ~20% wall-time in context-switch/GIL thrash on a
-            # threaded run.  The dispatcher polls every
-            # DISPATCH_POLL_SECONDS and drains whatever accumulated.
+        for fn in self._folds:
+            fn(event)
         return event
 
     def task_start(self, task: Task, device: str, t: float | None = None) -> None:
@@ -215,6 +229,26 @@ class TelemetryBus:
         data["end"] = end
         data["duration"] = end - start
         self.publish("task.finish", device, data, t=end if t is None else t)
+
+    # -- folds ------------------------------------------------------------
+
+    def fold(self, fn: Callable[[LiveEvent], None]) -> bool:
+        """Run ``fn`` synchronously on every event published from now on.
+
+        A fold is lossless — it sees every event whatever the ring
+        capacity or dispatcher state — and runs in the publishing
+        thread, so it must be cheap and thread-safe.  Returns ``False``
+        when ``fn`` was already folded (it is not added twice).
+        """
+        with self._lock:
+            if fn in self._folds:
+                return False
+            self._folds = (*self._folds, fn)
+            return True
+
+    def unfold(self, fn: Callable[[LiveEvent], None]) -> None:
+        with self._lock:
+            self._folds = tuple(f for f in self._folds if f != fn)
 
     # -- subscription / delivery ------------------------------------------
 

@@ -252,6 +252,41 @@ class MetricsRegistry:
             if seconds > 0.0:
                 self._histograms[f"{prefix}.gflops"].observe(flops / seconds / 1e9)
 
+    # -- bus fold ----------------------------------------------------------
+
+    def on_event(self, event) -> None:
+        """Fold one :class:`~repro.observability.live.bus.LiveEvent` into
+        the ``resilience.*`` counters — the only code that counts them
+        (multiprocess workers count with it too; the manager adds the
+        counter deltas their replies carry).
+
+        ==========================================  =====================
+        ``retry``                                   ``retries``
+        ``fault``                                   ``faults_injected``
+        ``checkpoint``                              ``checkpoints``
+        ``failover`` with ``died``                  ``worker_deaths``,
+                                                    ``failovers``
+        ``task.error`` with ``TaskTimeoutError``    ``timeouts``
+        ==========================================  =====================
+
+        The runtimes fold this onto the run's bus for the duration of a
+        factorize (see :func:`repro.runtime.serial.run_bus`).
+        """
+        kind = event.type
+        if kind == "retry":
+            self.counter("resilience.retries").inc()
+        elif kind == "fault":
+            self.counter("resilience.faults_injected").inc()
+        elif kind == "checkpoint":
+            self.counter("resilience.checkpoints").inc()
+        elif kind == "failover":
+            if event.data.get("died"):
+                self.counter("resilience.worker_deaths").inc()
+                self.counter("resilience.failovers").inc()
+        elif kind == "task.error":
+            if event.data.get("error") == "TaskTimeoutError":
+                self.counter("resilience.timeouts").inc()
+
     # -- reading -----------------------------------------------------------
 
     def snapshot(self) -> dict:

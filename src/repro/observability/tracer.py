@@ -3,23 +3,28 @@
 The simulators have always produced :class:`~repro.sim.trace.ExecutionTrace`
 objects; the real runtimes produced nothing, so the paper's predicted
 schedules (Algs. 2-4) could not be validated against actual execution.
-:class:`Tracer` closes that gap: spans opened around real kernel calls
-emit :class:`~repro.sim.trace.TaskRecord`-compatible events, so a traced
+:class:`Tracer` closes that gap: it folds the run's telemetry stream
+into :class:`~repro.sim.trace.TaskRecord`-compatible events, so a traced
 real run yields the *same* trace schema as a simulated one and every
 downstream consumer (reports, Gantt charts, exporters, the ``trace``
 CLI) works on both.
 
+The runtimes never call the tracer directly: they publish on the run's
+:class:`~repro.observability.live.bus.TelemetryBus`, and
+:meth:`Tracer.on_event` is folded onto that bus for the duration of the
+run (see :func:`repro.runtime.serial.run_bus`).  The explicit
+:meth:`Tracer.span` API remains for custom executors.
+
 Design constraints, in order:
 
 * **zero overhead when disabled** — a disabled tracer's :meth:`Tracer.span`
-  returns a shared no-op context manager without allocating anything, so
-  runtimes can call it unconditionally;
+  returns a shared no-op context manager without allocating anything,
+  and the runtimes create no bus for it;
 * **thread-safe by construction** — each thread appends to its own
-  buffer (registered once under a lock), merged at read time, so worker
-  threads never contend on the hot path;
-* **mergeable across processes** — :meth:`Tracer.record_task` ingests
-  pre-timed events, which is how the multiprocess runtime folds its
-  worker-side buffers into the manager's tracer at join.
+  buffer (registered once under a lock), merged at read time, so
+  publishing threads never contend on the hot path;
+* **mergeable** — :meth:`Tracer.record_task` ingests pre-timed events
+  from any source.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from typing import Callable
 from ..dag.tasks import Task, TaskKind
 from ..errors import ObservabilityError
 from ..sim.trace import AnnotationRecord, ExecutionTrace, TaskRecord, TransferRecord
+from .export import _task_record_from_dict
 
 
 class _NullSpan:
@@ -84,6 +90,25 @@ def _coerce_kind(kernel: str | TaskKind) -> TaskKind:
         ) from None
 
 
+#: Bus event types the trace keeps as annotations.
+_ANNOTATED = frozenset({"retry", "fault", "failover", "checkpoint"})
+
+
+def _annotation_label(kind: str, d: dict) -> str:
+    """The trace label of one resilience event, from its bus payload."""
+    if kind == "retry":
+        return f"attempt {d['attempt']}/{d['max_attempts']} of {d['task']}: {d['error']}"
+    if kind == "fault":
+        return f"{d['fault']}:{d['task']}"
+    if kind == "failover":
+        if d.get("died"):
+            return f"{d['detail']}; main={d['main']}"
+        return f"{d['detail']} -> {{{', '.join(d['to'])}}}"
+    if "panel" in d:  # multiprocess checkpoints are panel-aligned
+        return f"panel {d['panel']}/{d['panels']} -> {d['path']}"
+    return f"{d['completed']}/{d['total']} tasks -> {d['path']}"
+
+
 class Tracer:
     """Collect per-kernel spans from a real (or simulated) execution.
 
@@ -96,8 +121,8 @@ class Tracer:
         Monotonic time source; defaults to :func:`time.perf_counter`.
     metrics:
         Optional :class:`~repro.observability.metrics.MetricsRegistry`;
-        every closed span with a known tile size feeds its per-kernel
-        duration/GFLOP-rate histograms.
+        every recorded kernel with a known tile size feeds its
+        per-kernel duration/GFLOP-rate histograms.
 
     Examples
     --------
@@ -122,6 +147,8 @@ class Tracer:
         self._transfers: list[TransferRecord] = []
         self._annotations: list[AnnotationRecord] = []
         self._local = threading.local()
+        #: Tile edge of the run being folded (from its ``run.start``).
+        self._tile_size: int | None = None
 
     # -- span API ---------------------------------------------------------
 
@@ -164,12 +191,35 @@ class Tracer:
         return _Span(self, task, device, tile_size)
 
     def task_span(self, task: Task, device: str = "local", tile_size: int | None = None):
-        """Span for an existing DAG task (the runtimes' fast path)."""
+        """Span for an existing DAG task."""
         if not self.enabled:
             return NULL_SPAN
         return _Span(self, task, device, tile_size)
 
-    # -- pre-timed ingestion (cross-process merge) ------------------------
+    # -- bus fold ----------------------------------------------------------
+
+    def on_event(self, event) -> None:
+        """Fold one :class:`~repro.observability.live.bus.LiveEvent`.
+
+        ``task.finish`` becomes a :class:`TaskRecord` (and a kernel
+        observation on :attr:`metrics`, at the tile size the run's
+        ``run.start`` announced), ``transfer`` a :class:`TransferRecord`,
+        and ``retry``/``fault``/``failover``/``checkpoint`` an
+        :class:`AnnotationRecord`; other events are ignored.
+        """
+        if not self.enabled:
+            return
+        kind, d = event.type, event.data
+        if kind == "task.finish":
+            self._add(_task_record_from_dict({**d, "device": event.device}), self._tile_size)
+        elif kind in _ANNOTATED:
+            self.record_annotation(kind, _annotation_label(kind, d), event.device, event.t)
+        elif kind == "transfer":
+            self.record_transfer(d["src"], d["dst"], d["bytes"], d["start"], d["end"], d["tag"])
+        elif kind == "run.start":
+            self._tile_size = d.get("tile_size")
+
+    # -- pre-timed ingestion ----------------------------------------------
 
     def record_task(
         self,
@@ -179,14 +229,9 @@ class Tracer:
         end: float,
         tile_size: int | None = None,
     ) -> None:
-        """Ingest an already-timed kernel event (worker-buffer merge)."""
-        if not self.enabled:
-            return
-        self._buffer().append(TaskRecord(task=task, device_id=device, start=start, end=end))
-        if self.metrics is not None and tile_size is not None:
-            self.metrics.observe_kernel(
-                task.kind, tile_size, end - start, ncols=task.ncols
-            )
+        """Ingest an already-timed kernel event."""
+        if self.enabled:
+            self._add(TaskRecord(task=task, device_id=device, start=start, end=end), tile_size)
 
     def record_transfer(
         self,
@@ -197,7 +242,7 @@ class Tracer:
         end: float,
         tag: str = "",
     ) -> None:
-        """Ingest one data movement (the multiprocess runtime's pipes)."""
+        """Ingest one data movement (e.g. a multiprocess pipe send)."""
         if not self.enabled:
             return
         with self._lock:
@@ -252,13 +297,16 @@ class Tracer:
         stack.pop()
         if failed:
             return  # a span whose body raised is not a completed kernel
-        self._buffer().append(
-            TaskRecord(task=span.task, device_id=span.device, start=span.start, end=span.end)
+        self._add(
+            TaskRecord(task=span.task, device_id=span.device, start=span.start, end=span.end),
+            span.tile_size,
         )
-        if self.metrics is not None and span.tile_size is not None:
+
+    def _add(self, rec: TaskRecord, tile_size: int | None) -> None:
+        self._buffer().append(rec)
+        if self.metrics is not None and tile_size is not None:
             self.metrics.observe_kernel(
-                span.task.kind, span.tile_size, span.end - span.start,
-                ncols=span.task.ncols,
+                rec.task.kind, tile_size, rec.end - rec.start, ncols=rec.task.ncols
             )
 
     # -- reading ----------------------------------------------------------

@@ -197,32 +197,25 @@ class ChaosEngine:
 
     The runtimes call :meth:`before_task` ahead of each kernel and
     :meth:`corrupt_outputs` after it; both are no-ops unless a spec
-    matches and still has fires left.  Fire counting is thread-safe (one
-    engine may be shared by all worker threads) and deterministic: a
-    spec fires on its first ``times`` matching invocations in execution
-    order, independent of wall clock.
+    matches and still has fires left.  Each fire publishes a ``fault``
+    event on the run's ``bus`` when one is passed.  Fire counting is
+    thread-safe (one engine may be shared by all worker threads) and
+    deterministic: a spec fires on its first ``times`` matching
+    invocations in execution order, independent of wall clock.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        metrics=None,
-        tracer=None,
-        device: str | None = None,
-        bus=None,
-    ):
+    def __init__(self, plan: FaultPlan, device: str | None = None):
         self.plan = plan
-        self.metrics = metrics
-        self.tracer = tracer
         self.device = device
-        self.bus = bus
         self._fired = [0] * len(plan.specs)
         self._lock = threading.Lock()
         self.faults_injected = 0
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _claim(self, task: Task, device: str | None, kinds: tuple[FaultKind, ...]) -> FaultSpec | None:
+    def _claim(
+        self, task: Task, device: str | None, kinds: tuple[FaultKind, ...], bus
+    ) -> FaultSpec | None:
         """Atomically consume one fire of the first matching live spec."""
         dev = device if device is not None else self.device
         with self._lock:
@@ -234,23 +227,14 @@ class ChaosEngine:
                 if spec.matches(task, dev):
                     self._fired[idx] += 1
                     self.faults_injected += 1
-                    self._note(spec, task, dev)
-                    return spec
-        return None
-
-    def _note(self, spec: FaultSpec, task: Task, device: str | None) -> None:
-        if self.metrics is not None:
-            self.metrics.counter("resilience.faults_injected").inc()
-        if self.tracer is not None:
-            self.tracer.record_annotation(
-                "fault", f"{spec.kind.value}:{task.label()}", device or "local"
+                    break
+            else:
+                return None
+        if bus is not None:
+            bus.publish(
+                "fault", dev or "local", {"fault": spec.kind.value, "task": task.label()}
             )
-        if self.bus is not None:
-            self.bus.publish(
-                "fault",
-                device or "local",
-                {"fault": spec.kind.value, "task": task.label()},
-            )
+        return spec
 
     def fire_counts(self) -> list[int]:
         with self._lock:
@@ -258,12 +242,13 @@ class ChaosEngine:
 
     # -- injection points -------------------------------------------------
 
-    def before_task(self, task: Task, device: str | None = None) -> None:
+    def before_task(self, task: Task, device: str | None = None, bus=None) -> None:
         """Pre-kernel injection: exceptions, delays, hangs, worker kills."""
         spec = self._claim(
             task,
             device,
             (FaultKind.EXCEPTION, FaultKind.DELAY, FaultKind.HANG, FaultKind.KILL_WORKER),
+            bus,
         )
         if spec is None:
             return
@@ -280,14 +265,18 @@ class ChaosEngine:
         # EOF on the pipe, exactly like a crashed or OOM-killed device.
         os._exit(17)
 
-    def corrupt_outputs(self, task: Task, written_tiles, device: str | None = None) -> bool:
+    def corrupt_outputs(
+        self, task: Task, written_tiles, device: str | None = None, bus=None
+    ) -> bool:
         """Post-kernel injection: poison the task's output tiles.
 
         ``written_tiles`` is an iterable of ndarrays the task wrote.
         Returns True when a corruption fired (so callers can assert the
         sentinels caught it).
         """
-        spec = self._claim(task, device, (FaultKind.CORRUPT_NAN, FaultKind.CORRUPT_INF))
+        spec = self._claim(
+            task, device, (FaultKind.CORRUPT_NAN, FaultKind.CORRUPT_INF), bus
+        )
         if spec is None:
             return False
         poison = np.nan if spec.kind is FaultKind.CORRUPT_NAN else np.inf

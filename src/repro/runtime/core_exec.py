@@ -147,8 +147,6 @@ def apply_task_resilient(
     chaos=None,
     health: bool = False,
     health_ref_norm: float | None = None,
-    metrics=None,
-    tracer=None,
     device: str = "local",
     bus=None,
 ) -> Factors | None:
@@ -170,14 +168,14 @@ def apply_task_resilient(
     * an attempt exceeding ``policy.deadline`` wall-clock seconds is
       classified as a hang (:class:`~repro.errors.TaskTimeoutError`) and
       retried like any failure;
-    * retries are counted on ``metrics`` (``resilience.retries``),
-      annotated on ``tracer``, and published as ``retry`` events on
-      ``bus`` (a :class:`repro.observability.TelemetryBus`, when live
-      telemetry is on); every failed attempt additionally publishes a
-      ``task.error`` event (task, attempt, error type/message,
-      retryability) — the flight recorder's raw material; exhausting
-      the policy raises :class:`~repro.errors.RetryExhaustedError`
-      chained to the last failure.
+    * every failed attempt publishes a ``task.error`` event (task,
+      attempt, error type/message, retryability) and every retry a
+      ``retry`` event on ``bus``, the run's
+      :class:`repro.observability.TelemetryBus` (``None``: nobody
+      observes); the tracer, the ``resilience.*`` counters and the
+      flight recorder are all fed from that stream; exhausting the
+      policy raises :class:`~repro.errors.RetryExhaustedError` chained
+      to the last failure.
     """
     from ..resilience.health import check_task_outputs, panel_residual_probe
 
@@ -186,14 +184,6 @@ def apply_task_resilient(
     last_exc: BaseException | None = None
     for attempt in range(1, policy.max_attempts + 1):
         if attempt > 1:
-            if metrics is not None:
-                metrics.counter("resilience.retries").inc()
-            if tracer is not None:
-                tracer.record_annotation(
-                    "retry",
-                    f"attempt {attempt}/{policy.max_attempts} of {task.label()}: {last_exc}",
-                    device,
-                )
             if bus is not None:
                 bus.publish(
                     "retry",
@@ -214,7 +204,7 @@ def apply_task_resilient(
             # fault stalls the kernel slot and must count as a hang.
             t0 = perf_counter()
             if chaos is not None:
-                chaos.before_task(task, device)
+                chaos.before_task(task, device, bus=bus)
             produced = apply_task(task, a, factors, workspace, backend=backend)
             elapsed = perf_counter() - t0
             if policy.deadline is not None and elapsed > policy.deadline:
@@ -223,7 +213,7 @@ def apply_task_resilient(
                     f"(deadline {policy.deadline:.3f}s); classifying as hung"
                 )
             if chaos is not None:
-                chaos.corrupt_outputs(task, written, device)
+                chaos.corrupt_outputs(task, written, device, bus=bus)
             if health:
                 check_task_outputs(task, written)
                 if health_ref_norm is not None and fkey is not None:
@@ -232,8 +222,6 @@ def apply_task_resilient(
                     panel_residual_probe(written[0], health_ref_norm, task.k)
             return produced
         except BaseException as exc:
-            if isinstance(exc, TaskTimeoutError) and metrics is not None:
-                metrics.counter("resilience.timeouts").inc()
             retryable = policy.is_retryable(exc)
             if bus is not None:
                 bus.publish(

@@ -48,10 +48,15 @@ retry policy is in force, so retries, chaos injection, NaN/Inf health
 sentinels and the per-task ``RetryPolicy.deadline`` behave exactly as
 in the serial and threaded runtimes.  The tasks operate on the
 worker's owned columns through a small column-store adapter.  Each
-worker counts into a private metrics registry; every reply carries the
-counter deltas, which the manager folds into its own registry by name.
-The manager's per-message reply deadline is the backstop for a worker
-that never replies at all.
+worker counts into a private metrics registry, folded onto a private
+bus; every reply carries the counter deltas, which the manager folds
+into its own registry by name.  The manager's per-message reply
+deadline is the backstop for a worker that never replies at all.
+
+The manager publishes everything it observes — worker kernels,
+transfers, failovers, checkpoints — on the run's bus; its tracer and
+metrics are folds over that stream (see
+:func:`~repro.runtime.serial.run_bus`).
 
 Mid-run checkpoints are panel-aligned: after every ``checkpoint_every``
 panels the manager gathers the live columns and writes a format-2
@@ -78,7 +83,13 @@ from ..kernels.tsqrt import TSQRTResult
 from ..kernels.workspace import Workspace, drain_fallbacks
 from .core_exec import Factors, apply_task, apply_task_resilient, factor_store
 from .factorization import TiledQRFactorization
-from .serial import coerce_input, resolve_policy, run_with_bundle_capture
+from .serial import (
+    check_checkpoint_every,
+    coerce_input,
+    resolve_policy,
+    run_bus,
+    run_with_bundle_capture,
+)
 
 
 class _WorkerDied(Exception):
@@ -271,7 +282,7 @@ def _worker_main(
     call (retries and injected stalls included) as a ``(task, start,
     end)`` event on the worker's ``perf_counter``.
     """
-    from ..observability import MetricsRegistry
+    from ..observability import MetricsRegistry, TelemetryBus
     from ..resilience import ChaosEngine
 
     columns: dict[int, list[np.ndarray]] = {}
@@ -282,12 +293,11 @@ def _worker_main(
     # not by pickled object, so spawn and fork behave identically.
     kern = resolve_backend(backend_name)
     metrics = MetricsRegistry()
+    # Subscriber-less (no dispatcher thread): it only feeds the counters.
+    bus = TelemetryBus(capacity=1)
+    bus.fold(metrics.on_event)
     sent: dict[str, float] = {}
-    chaos = (
-        None
-        if fault_plan is None
-        else ChaosEngine(fault_plan, metrics=metrics, device=device_id)
-    )
+    chaos = None if fault_plan is None else ChaosEngine(fault_plan, device=device_id)
     policy = resolve_policy(retry_policy, chaos, health)
 
     def reply(status: str, payload) -> None:
@@ -326,8 +336,7 @@ def _worker_main(
             produced = apply_task_resilient(
                 task, store, factors, workspace,
                 policy=policy, backend=kern, chaos=chaos, health=health,
-                health_ref_norm=ref_norm,
-                metrics=metrics, device=device_id,
+                health_ref_norm=ref_norm, device=device_id, bus=bus,
             )
         if trace:
             events.append((task, t0, perf_counter()))
@@ -390,11 +399,12 @@ class MultiprocessRuntime:
         canonical tree name and resume only on a runtime configured
         with the same tree.
     tracer:
-        Optional :class:`repro.observability.Tracer`.  Workers buffer
-        per-task events locally and ship them with each reply; the
-        manager merges them under each worker's device id; column
-        migrations and factor broadcasts are recorded as
-        transfers with their real pickled byte counts.
+        Optional :class:`repro.observability.Tracer`, folded onto the
+        run's bus.  Workers buffer per-task events locally and ship
+        them with each reply; the manager publishes them under each
+        worker's device id; column migrations and factor broadcasts
+        are published as ``transfer`` events with their real pickled
+        byte counts.
     retry_policy:
         Optional :class:`~repro.resilience.RetryPolicy`.  Enables the
         fault-tolerant path: workers run tasks through
@@ -490,7 +500,7 @@ class MultiprocessRuntime:
         self, a: np.ndarray, tile_size: int | None = None, resume=None
     ) -> TiledQRFactorization:
         if self.bundle_out is None:
-            return self._factorize(a, tile_size, resume)
+            return self._factorize(a, tile_size, resume, self.bus)
         meta = {
             "runtime": "multiprocess",
             "elimination": self.elimination,
@@ -502,15 +512,16 @@ class MultiprocessRuntime:
             meta["retry_policy"] = self.retry_policy.to_dict()
         return run_with_bundle_capture(
             self,
-            lambda: self._factorize(a, tile_size, resume),
+            lambda bus: self._factorize(a, tile_size, resume, bus),
             fault_plan=self.chaos_plan,
             plan=self.plan,
             meta=meta,
         )
 
     def _factorize(
-        self, a: np.ndarray, tile_size: int | None = None, resume=None
+        self, a: np.ndarray, tile_size: int | None, resume, bus
     ) -> TiledQRFactorization:
+        check_checkpoint_every(self.checkpoint_every)
         if resume is not None:
             tiled, k0, log0 = self._resume_state(resume)
             arr_shape = resume.shape
@@ -535,9 +546,7 @@ class MultiprocessRuntime:
             if r > col_rank.get(key, -1.0):
                 col_rank[key] = r
 
-        tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
         metrics = self.metrics
-        bus = self.bus
         policy = resolve_policy(self.retry_policy, self.chaos_plan, self.health_checks)
         resilient = self.resilient
 
@@ -555,7 +564,7 @@ class MultiprocessRuntime:
             proc = ctx.Process(
                 target=_worker_main,
                 args=(
-                    child, tracer is not None or bus is not None,
+                    child, bus is not None,
                     dev, self.chaos_plan, self.retry_policy, self.health_checks,
                     self.backend.name,
                 ),
@@ -588,21 +597,25 @@ class MultiprocessRuntime:
                 for name, n in counts.items():
                     metrics.counter(name).inc(n)
             off = clock_offset.get(dev, 0.0)
-            for task, start, end in evts:
-                if tracer is not None:
-                    tracer.record_task(
-                        task, device=dev, start=start + off, end=end + off,
-                        tile_size=b,
-                    )
-                if bus is not None:
-                    bus.task_finish(task, dev, start=start + off, end=end + off)
+            for task, start, end in evts:  # non-empty only when there is a bus
+                bus.task_finish(task, dev, start=start + off, end=end + off)
+
+        def transfer(src: str, dst: str, nbytes: float, start: float, tag: str) -> None:
+            end = perf_counter()
+            bus.publish(
+                "transfer",
+                src,
+                {"src": src, "dst": dst, "bytes": nbytes, "start": start, "end": end, "tag": tag},
+                t=end,
+            )
 
         def ask(dev: str, msg, xfer=None, n_kernels: int = 1):
-            """Round-trip one message; ``xfer=(src, bytes, tag)`` records
-            the send leg (pickle + pipe write) as a transfer.
+            """Round-trip one message; ``xfer=(src, bytes, tag)`` publishes
+            the send leg (pickle + pipe write) as a ``transfer`` event.
 
             In resilient mode every failure mode — EOF, error status,
-            missed deadline — surfaces as :class:`_WorkerDied` so the
+            missed deadline (published as a ``TaskTimeoutError``
+            ``task.error``) — surfaces as :class:`_WorkerDied` so the
             panel transaction can fail over; otherwise failures raise
             :class:`SimulationError` as before.  With a live bus whose
             ``heartbeat_interval`` is set, the deadline wait is sliced
@@ -616,12 +629,9 @@ class MultiprocessRuntime:
             try:
                 t0 = perf_counter()
                 conn.send(msg)
-                if tracer is not None and xfer is not None:
+                if bus is not None and xfer is not None:
                     src, nbytes, tag = xfer
-                    tracer.record_transfer(
-                        src=src, dst=dev, num_bytes=nbytes,
-                        start=t0, end=perf_counter(), tag=tag,
-                    )
+                    transfer(src, dev, nbytes, t0, tag)
                 if policy is not None and policy.deadline is not None:
                     budget = policy.deadline * max(1, n_kernels) + 1.0
                     hb = bus.heartbeat_interval if bus is not None else None
@@ -648,11 +658,14 @@ class MultiprocessRuntime:
                     else:
                         got = conn.poll(budget)
                     if not got:
-                        if metrics is not None:
-                            metrics.counter("resilience.timeouts").inc()
-                        raise _WorkerDied(
-                            dev, f"no reply within {budget:.1f}s (hung?)"
-                        )
+                        reason = f"no reply within {budget:.1f}s (hung?)"
+                        if bus is not None:
+                            bus.publish("task.error", dev, {
+                                "task": type(msg).__name__, "attempt": 1,
+                                "max_attempts": 1, "error": "TaskTimeoutError",
+                                "message": reason, "retryable": False,
+                            })
+                        raise _WorkerDied(dev, reason)
                 status, payload, counts, evts = conn.recv()
             except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as exc:
                 err = _WorkerDied(dev, f"pipe closed ({type(exc).__name__})")
@@ -724,20 +737,11 @@ class MultiprocessRuntime:
             if dev in dead:
                 return
             reap(dev)
-            if metrics is not None:
-                metrics.counter("resilience.worker_deaths").inc()
-                metrics.counter("resilience.failovers").inc()
             survivors = alive()
             if current_main == dev and survivors:
                 current_main = max(
                     survivors,
                     key=lambda d: self.plan.system.device(d).update_throughput(b),
-                )
-            if tracer is not None:
-                tracer.record_annotation(
-                    "failover",
-                    f"{dev} died at panel {k} ({reason}); main={current_main}",
-                    dev,
                 )
             if bus is not None:
                 bus.publish(
@@ -789,13 +793,6 @@ class MultiprocessRuntime:
                 ask(new_owner, ReceiveColumn(col=j, tiles=tiles))
                 col_home[j] = new_owner
                 moved_to.append(new_owner)
-            if tracer is not None:
-                tracer.record_annotation(
-                    "failover",
-                    f"migrated column(s) {stranded} -> "
-                    f"{{{', '.join(sorted(set(moved_to)))}}}",
-                    "manager",
-                )
             if bus is not None:
                 bus.publish(
                     "failover",
@@ -815,12 +812,9 @@ class MultiprocessRuntime:
                 t0 = perf_counter()
                 tiles = ask(col_home[k], SendColumn(col=k))
                 ask(owner_p, ReceiveColumn(col=k, tiles=tiles))
-                if tracer is not None:
-                    tracer.record_transfer(
-                        src=col_home[k], dst=owner_p,
-                        num_bytes=float(sum(t.nbytes for t in tiles)),
-                        start=t0, end=perf_counter(), tag=f"col{k}",
-                    )
+                if bus is not None:
+                    nbytes = float(sum(t.nbytes for t in tiles))
+                    transfer(col_home[k], owner_p, nbytes, t0, f"col{k}")
                 col_home[k] = owner_p
             if not panel_done.get(k):
                 tasks = [t for t in ref_dag.panel_tasks(k) if not t.step.is_update]
@@ -895,14 +889,6 @@ class MultiprocessRuntime:
                 self.checkpoint_path, tiled, completed, log, arr_shape,
                 elimination=self.elimination, batch_updates=False,
             )
-            if metrics is not None:
-                metrics.counter("resilience.checkpoints").inc()
-            if tracer is not None:
-                tracer.record_annotation(
-                    "checkpoint",
-                    f"panel {k + 1}/{n_panels} -> {self.checkpoint_path}",
-                    "manager",
-                )
             if bus is not None:
                 bus.publish(
                     "checkpoint",
@@ -914,117 +900,110 @@ class MultiprocessRuntime:
                     },
                 )
 
-        try:
-            if bus is not None:
-                bus.publish(
-                    "run.start",
-                    "manager",
-                    {
-                        "runtime": "multiprocess",
-                        "total_tasks": len(ref_dag.tasks),
-                        "total_units": sum(t.ncols for t in ref_dag.tasks),
-                        "grid": [p, q],
-                        "tile_size": b,
-                        "devices": list(self.plan.participants),
-                        "panels": n_panels - k0,
-                    },
-                )
-            for dev in self.plan.participants:
-                spawn(dev)
-
-            # --- clock handshake (traced or live-telemetry runs) ---------
-            if tracer is not None or bus is not None:
-                for dev in self.plan.participants:
-                    if start_method == "fork":
-                        clock_offset[dev] = 0.0  # shared CLOCK_MONOTONIC
-                    else:
-                        t0 = perf_counter()
-                        worker_now = ask(dev, ClockSync())
-                        t1 = perf_counter()
-                        clock_offset[dev] = 0.5 * (t0 + t1) - worker_now
-
-            # --- initial distribution (owned columns per device) --------
-            per_dev: dict[str, dict[int, list[np.ndarray]]] = {
-                d: {} for d in self.plan.participants
+        def start() -> dict:
+            return {
+                "runtime": "multiprocess",
+                "total_tasks": len(ref_dag.tasks),
+                "total_units": sum(t.ncols for t in ref_dag.tasks),
+                "grid": [p, q],
+                "tile_size": b,
+                "devices": list(self.plan.participants),
+                "panels": n_panels - k0,
             }
-            for j in range(q):
-                owner = col_home[j]
-                tiles = [tiled.tile(i, j).copy() for i in range(p)]
-                per_dev[owner][j] = tiles
-                if resilient:
-                    base[j] = [t.copy() for t in tiles]
-                    base_level[j] = k0 - 1
-                    applied[j] = k0 - 1
-            for j in range(k0):  # resumed runs: finished R columns
-                panel_done[j] = True
-                shadow_r[j] = base.get(j, [tiled.tile(i, j).copy() for i in range(p)])
-                applied[j] = n_panels
-            for dev, cols in per_dev.items():
-                ask(dev, LoadColumns(columns=cols))
 
-            # --- panel loop (paper Sec. IV-D) ----------------------------
-            since_ckpt = 0
-            for k in range(k0, n_panels):
-                if resilient:
-                    # Panel-as-transaction: any device death rolls the
-                    # loop back to re-home stranded columns and replay
-                    # the panel from its frontier.  The applied/
-                    # panel_done watermarks make the replay exact.
-                    while True:
-                        try:
-                            rehome_stranded(k)
-                            run_panel(k)
-                            break
-                        except _WorkerDied as exc:
-                            note_death(exc.device, k, exc.reason)
-                else:
-                    run_panel(k)
-                since_ckpt += 1
-                if (
-                    self.checkpoint_every is not None
-                    and self.checkpoint_path is not None
-                    and since_ckpt >= self.checkpoint_every
-                    and k + 1 < n_panels
-                ):
-                    write_checkpoint(k)
-                    since_ckpt = 0
+        with run_bus(
+            self, bus, "manager", start,
+            lambda: {"panels": n_panels - k0, "deaths": len(dead)},
+        ) as bus:
+            try:
+                for dev in self.plan.participants:
+                    spawn(dev)
 
-            # --- gather the R factor -------------------------------------
-            gathered: set[int] = set()
-            for dev in list(alive()):
-                try:
-                    cols = ask(dev, Collect())
-                    for j, tiles in cols.items():
+                # --- clock handshake (runs with a bus) ----------------------
+                if bus is not None:
+                    for dev in self.plan.participants:
+                        if start_method == "fork":
+                            clock_offset[dev] = 0.0  # shared CLOCK_MONOTONIC
+                        else:
+                            t0 = perf_counter()
+                            worker_now = ask(dev, ClockSync())
+                            t1 = perf_counter()
+                            clock_offset[dev] = 0.5 * (t0 + t1) - worker_now
+
+                # --- initial distribution (owned columns per device) --------
+                per_dev: dict[str, dict[int, list[np.ndarray]]] = {
+                    d: {} for d in self.plan.participants
+                }
+                for j in range(q):
+                    owner = col_home[j]
+                    tiles = [tiled.tile(i, j).copy() for i in range(p)]
+                    per_dev[owner][j] = tiles
+                    if resilient:
+                        base[j] = [t.copy() for t in tiles]
+                        base_level[j] = k0 - 1
+                        applied[j] = k0 - 1
+                for j in range(k0):  # resumed runs: finished R columns
+                    panel_done[j] = True
+                    shadow_r[j] = base.get(j, [tiled.tile(i, j).copy() for i in range(p)])
+                    applied[j] = n_panels
+                for dev, cols in per_dev.items():
+                    ask(dev, LoadColumns(columns=cols))
+
+                # --- panel loop (paper Sec. IV-D) ----------------------------
+                since_ckpt = 0
+                for k in range(k0, n_panels):
+                    if resilient:
+                        # Panel-as-transaction: any device death rolls the
+                        # loop back to re-home stranded columns and replay
+                        # the panel from its frontier.  The applied/
+                        # panel_done watermarks make the replay exact.
+                        while True:
+                            try:
+                                rehome_stranded(k)
+                                run_panel(k)
+                                break
+                            except _WorkerDied as exc:
+                                note_death(exc.device, k, exc.reason)
+                    else:
+                        run_panel(k)
+                    since_ckpt += 1
+                    if (
+                        self.checkpoint_every is not None
+                        and self.checkpoint_path is not None
+                        and since_ckpt >= self.checkpoint_every
+                        and k + 1 < n_panels
+                    ):
+                        write_checkpoint(k)
+                        since_ckpt = 0
+
+                # --- gather the R factor -------------------------------------
+                gathered: set[int] = set()
+                for dev in list(alive()):
+                    try:
+                        cols = ask(dev, Collect())
+                        for j, tiles in cols.items():
+                            for i in range(p):
+                                tiled.set_tile(i, j, tiles[i])
+                            gathered.add(j)
+                        ask(dev, Shutdown())
+                    except _WorkerDied as exc:
+                        note_death(exc.device, n_panels, f"died at gather: {exc.reason}")
+                for j in range(q):  # columns lost between last panel and gather
+                    if j not in gathered:
+                        if not resilient:
+                            raise SimulationError(f"column {j} lost at gather")
+                        tiles = recover_column(j)
                         for i in range(p):
                             tiled.set_tile(i, j, tiles[i])
-                        gathered.add(j)
-                    ask(dev, Shutdown())
-                except _WorkerDied as exc:
-                    note_death(exc.device, n_panels, f"died at gather: {exc.reason}")
-            for j in range(q):  # columns lost between last panel and gather
-                if j not in gathered:
-                    if not resilient:
-                        raise SimulationError(f"column {j} lost at gather")
-                    tiles = recover_column(j)
-                    for i in range(p):
-                        tiled.set_tile(i, j, tiles[i])
-        finally:
-            for parent, proc in workers.values():
-                try:
-                    parent.close()
-                except OSError:
-                    pass
-                proc.join(timeout=5)
-                if proc.is_alive():  # pragma: no cover - hygiene
-                    proc.terminate()
-
-        if bus is not None:
-            bus.publish(
-                "run.finish",
-                "manager",
-                {"panels": n_panels - k0, "deaths": len(dead)},
-            )
-            bus.drain()  # subscribers have seen everything when we return
+            finally:
+                for parent, proc in workers.values():
+                    try:
+                        parent.close()
+                    except OSError:
+                        pass
+                    proc.join(timeout=5)
+                    if proc.is_alive():  # pragma: no cover - hygiene
+                        proc.terminate()
         return TiledQRFactorization(r=tiled, log=log, shape=arr_shape)
 
     def _resume_state(self, resume):

@@ -13,7 +13,7 @@ way a parallel resume expects.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager
 from heapq import heappop, heappush
 
 import numpy as np
@@ -55,16 +55,52 @@ def resolve_policy(retry_policy, chaos, health_checks):
     return None
 
 
+@contextmanager
+def run_bus(runtime, bus, device: str, start: dict, finish):
+    """The bus one factorize call publishes on, or ``None``.
+
+    ``None`` when there is no ``bus``, no enabled tracer and no metrics:
+    the default path creates no bus and publishes nothing.  Otherwise
+    the caller's ``bus``, or a private
+    :class:`~repro.observability.TelemetryBus`, with the runtime's
+    tracer and metrics folded on (:meth:`Tracer.on_event
+    <repro.observability.Tracer.on_event>`, :meth:`MetricsRegistry.on_event
+    <repro.observability.MetricsRegistry.on_event>`) until the run ends.
+    Publishes ``run.start`` with ``start()`` on entry and, when the
+    body succeeds, ``run.finish`` with ``finish()`` followed by a drain,
+    so subscribers have seen everything when ``factorize`` returns.
+    Both payloads are callables so the default path never builds them.
+    """
+    tracer = runtime.tracer if runtime.tracer is not None and runtime.tracer.enabled else None
+    sinks = [s for s in (tracer, runtime.metrics) if s is not None]
+    if bus is None and not sinks:
+        yield None
+        return
+    if bus is None:
+        from ..observability.live.bus import TelemetryBus
+
+        bus = TelemetryBus()
+    folded = [s.on_event for s in sinks if bus.fold(s.on_event)]
+    try:
+        bus.publish("run.start", device, start())
+        yield bus
+        bus.publish("run.finish", device, finish())
+        bus.drain()
+    finally:
+        for fn in folded:
+            bus.unfold(fn)
+
+
 def run_with_bundle_capture(runtime, call, *, fault_plan=None, plan=None, meta=None):
     """Arm failure-bundle capture around one ``_factorize`` call.
 
     Shared by the three runtimes when ``bundle_out`` is set: attaches a
     :class:`~repro.observability.postmortem.FlightRecorder` to the
     runtime's bus (substituting a private bus when it runs without one,
-    so there are task events to record), runs ``call()``, and writes an
-    atomic failure bundle to ``runtime.bundle_out`` if a terminal error
-    escapes — then restores the bus and re-raises.  A clean run writes
-    nothing.
+    so there are task events to record), runs ``call(bus)`` — which
+    hands that bus to :func:`run_bus` — and writes an atomic failure
+    bundle to ``runtime.bundle_out`` if a terminal error escapes, then
+    re-raises.  A clean run writes nothing.
     """
     from ..observability.postmortem import BundleCapture
 
@@ -77,15 +113,12 @@ def run_with_bundle_capture(runtime, call, *, fault_plan=None, plan=None, meta=N
         checkpoint_path=runtime.checkpoint_path,
         meta=meta,
     )
-    prev = runtime.bus
-    runtime.bus = capture.bus
     try:
-        return call()
+        return call(capture.bus)
     except BaseException as exc:
         capture.capture(exc)
         raise
     finally:
-        runtime.bus = prev
         capture.close()
 
 
@@ -154,26 +187,28 @@ def check_resume_state(resume, dag, tiled, elimination: str, batch_updates: bool
     return completed
 
 
+def check_checkpoint_every(every) -> None:
+    """Reject a snapshot interval below one (task or panel)."""
+    if every is not None and every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {every}")
+
+
 class _CheckpointWriter:
     """Periodic partial-snapshot writer shared by the runtimes.
 
     Counts newly completed tasks and, every ``every`` completions,
-    writes an atomic format-2 snapshot to ``path``.  Call only at
-    quiescent points (the caller guarantees no task is in flight).
+    writes an atomic format-2 snapshot to ``path`` and publishes a
+    ``checkpoint`` event on ``bus``.  Call only at quiescent points
+    (the caller guarantees no task is in flight).
     """
 
-    def __init__(
-        self, every, path, dag, tiled, shape, metrics=None, tracer=None, bus=None
-    ):
-        if every is not None and every < 1:
-            raise ValueError(f"checkpoint_every must be >= 1, got {every}")
+    def __init__(self, every, path, dag, tiled, shape, bus=None):
+        check_checkpoint_every(every)
         self.every = every
         self.path = path
         self.dag = dag
         self.tiled = tiled
         self.shape = shape
-        self.metrics = metrics
-        self.tracer = tracer
         self.bus = bus
         self._since = 0
         self.enabled = every is not None and path is not None
@@ -198,14 +233,6 @@ class _CheckpointWriter:
             self.dag.batch_updates,
         )
         self._since = 0
-        if self.metrics is not None:
-            self.metrics.counter("resilience.checkpoints").inc()
-        if self.tracer is not None:
-            self.tracer.record_annotation(
-                "checkpoint",
-                f"{len(completed)}/{len(self.dag.tasks)} tasks -> {self.path}",
-                device,
-            )
         if self.bus is not None:
             self.bus.publish(
                 "checkpoint",
@@ -232,9 +259,10 @@ class SerialRuntime:
         after every kernel — hook for progress bars or cancellation
         (raise inside the callback to abort).
     tracer:
-        Optional :class:`repro.observability.Tracer`; every kernel runs
-        inside a span (device id ``"serial"``), so a traced run emits
-        the same trace schema the simulators produce.
+        Optional :class:`repro.observability.Tracer`, folded onto the
+        run's bus: every kernel becomes a task record (device id
+        ``"serial"``), so a traced run emits the same trace schema the
+        simulators produce.
     batch_updates:
         Execute coarsened row-panel update tasks (``UNMQR_BATCH`` /
         ``TSMQR_BATCH``) instead of per-tile updates: one set of wide
@@ -253,8 +281,8 @@ class SerialRuntime:
         failures raise :class:`~repro.errors.NumericalHealthError` and
         go through the retry policy.
     metrics:
-        Optional :class:`repro.observability.MetricsRegistry` receiving
-        the ``resilience.*`` counters.
+        Optional :class:`repro.observability.MetricsRegistry`, folded
+        onto the run's bus: it receives the ``resilience.*`` counters.
     bus:
         Optional :class:`repro.observability.TelemetryBus`; the run
         publishes live ``run.start``/``task.start``/``task.finish``/
@@ -332,7 +360,7 @@ class SerialRuntime:
         TiledQRFactorization
         """
         if self.bundle_out is None:
-            return self._factorize(a, tile_size, resume)
+            return self._factorize(a, tile_size, resume, self.bus)
         meta = {
             "runtime": "serial",
             "elimination": self.elimination,
@@ -344,12 +372,12 @@ class SerialRuntime:
             meta["retry_policy"] = self.retry_policy.to_dict()
         return run_with_bundle_capture(
             self,
-            lambda: self._factorize(a, tile_size, resume),
+            lambda bus: self._factorize(a, tile_size, resume, bus),
             fault_plan=self.chaos.plan if self.chaos is not None else None,
             meta=meta,
         )
 
-    def _factorize(self, a, tile_size: int, resume=None) -> TiledQRFactorization:
+    def _factorize(self, a, tile_size: int, resume, bus) -> TiledQRFactorization:
         tiled, shape = coerce_input(a, tile_size, self.batch_updates)
         dag = build_dag(
             tiled.grid_rows, tiled.grid_cols, self.elimination, self.batch_updates
@@ -365,93 +393,75 @@ class SerialRuntime:
             log = list(resume.log)
         factors = factor_store(log)
         total = len(dag.tasks)
-        tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
         b = tiled.tile_size
         workspace = Workspace()
         policy = resolve_policy(self.retry_policy, self.chaos, self.health_checks)
         ref_norm = health_ref_norm(tiled) if self.health_checks else None
-        bus = self.bus
-        if bus is not None:
-            bus.publish(
-                "run.start",
-                "serial",
-                {
-                    "runtime": "serial",
-                    "total_tasks": total,
-                    "total_units": sum(t.ncols for t in dag.tasks),
-                    "grid": [tiled.grid_rows, tiled.grid_cols],
-                    "tile_size": b,
-                    "completed": len(completed),
-                },
+
+        def start() -> dict:
+            return {
+                "runtime": "serial",
+                "total_tasks": total,
+                "total_units": sum(t.ncols for t in dag.tasks),
+                "grid": [tiled.grid_rows, tiled.grid_cols],
+                "tile_size": b,
+                "completed": len(completed),
+            }
+
+        with run_bus(self, bus, "serial", start, lambda: {"tasks": total}) as bus:
+            ckpt = _CheckpointWriter(
+                self.checkpoint_every, self.checkpoint_path, dag, tiled, shape, bus
             )
-        ckpt = _CheckpointWriter(
-            self.checkpoint_every, self.checkpoint_path, dag, tiled, shape,
-            self.metrics, tracer, bus,
-        )
-        done = len(completed)
-        # Critical-path priority dispatch: pop the ready task with the
-        # highest bottom-level rank (emission order breaks ties).
-        ranks = bottom_level_ranks(dag, task_weight_model(b))
-        position = {t: n for n, t in enumerate(dag.tasks)}
-        waiting = {
-            t: sum(1 for d in dag.preds[t] if d not in completed)
-            for t in dag.tasks
-            if t not in completed
-        }
-        heap: list[tuple[float, int, Task]] = []
-        for t in dag.tasks:
-            if t not in completed and waiting[t] == 0:
-                heappush(heap, (-ranks[t], position[t], t))
-        while heap:
-            _, _, task = heappop(heap)
-            span = (
-                tracer.task_span(task, device="serial", tile_size=b)
-                if tracer is not None
-                else None
-            )
-            if bus is not None:
-                t0 = bus.clock()
-                bus.task_start(task, "serial", t=t0)
-            if policy is not None:
-                with span if span is not None else _NULL_CTX:
+            done = len(completed)
+            # Critical-path priority dispatch: pop the ready task with the
+            # highest bottom-level rank (emission order breaks ties).
+            ranks = bottom_level_ranks(dag, task_weight_model(b))
+            position = {t: n for n, t in enumerate(dag.tasks)}
+            waiting = {
+                t: sum(1 for d in dag.preds[t] if d not in completed)
+                for t in dag.tasks
+                if t not in completed
+            }
+            heap: list[tuple[float, int, Task]] = []
+            for t in dag.tasks:
+                if t not in completed and waiting[t] == 0:
+                    heappush(heap, (-ranks[t], position[t], t))
+            while heap:
+                _, _, task = heappop(heap)
+                if bus is not None:
+                    t0 = bus.clock()
+                    bus.task_start(task, "serial", t=t0)
+                if policy is not None:
                     produced = apply_task_resilient(
                         task, tiled, factors, workspace,
                         policy=policy, backend=self.backend, chaos=self.chaos,
                         health=self.health_checks, health_ref_norm=ref_norm,
-                        metrics=self.metrics,
-                        tracer=tracer, device="serial", bus=bus,
+                        device="serial", bus=bus,
                     )
-            else:
-                with span if span is not None else _NULL_CTX:
+                else:
                     produced = apply_task(
                         task, tiled, factors, workspace, backend=self.backend
                     )
-            if bus is not None:
-                bus.task_finish(task, "serial", start=t0, end=bus.clock())
-            done += 1
-            if produced is not None:
-                log.append((task, produced))
-            completed.add(task)
-            completed_order.append(task)
-            for succ in dag.succs[task]:
-                if succ in waiting:
-                    waiting[succ] -= 1
-                    if waiting[succ] == 0:
-                        heappush(heap, (-ranks[succ], position[succ], succ))
-            if ckpt.task_done():
-                ckpt.write(completed_order, log, device="serial")
-            if self.progress is not None:
-                self.progress(done, total, task)
-        if done != total:
-            raise SimulationError(f"serial runtime finished {done}/{total} tasks")
-        drain_fallbacks(self.metrics, workspace)
-        if bus is not None:
-            bus.publish("run.finish", "serial", {"tasks": done})
-            bus.drain()  # subscribers have seen everything when we return
+                if bus is not None:
+                    bus.task_finish(task, "serial", start=t0, end=bus.clock())
+                done += 1
+                if produced is not None:
+                    log.append((task, produced))
+                completed.add(task)
+                completed_order.append(task)
+                for succ in dag.succs[task]:
+                    if succ in waiting:
+                        waiting[succ] -= 1
+                        if waiting[succ] == 0:
+                            heappush(heap, (-ranks[succ], position[succ], succ))
+                if ckpt.task_done():
+                    ckpt.write(completed_order, log, device="serial")
+                if self.progress is not None:
+                    self.progress(done, total, task)
+            if done != total:
+                raise SimulationError(f"serial runtime finished {done}/{total} tasks")
+            drain_fallbacks(self.metrics, workspace)
         return TiledQRFactorization(r=tiled, log=log, shape=shape)
-
-
-_NULL_CTX = nullcontext()  # reusable: no per-task allocation on the hot path
 
 
 def tiled_qr(

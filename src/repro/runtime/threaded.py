@@ -65,6 +65,7 @@ from .serial import (
     coerce_input,
     health_ref_norm,
     resolve_policy,
+    run_bus,
     run_with_bundle_capture,
 )
 
@@ -99,9 +100,10 @@ class ThreadedRuntime:
         ``"flat-tt"``, ``"binary"``/``"TT"``, ``"fibonacci"``,
         ``"greedy"`` — see :mod:`repro.dag.trees`).
     tracer:
-        Optional :class:`repro.observability.Tracer`; each worker emits
-        kernel spans under device id ``"worker-<i>"`` into its own
-        thread-local buffer (no hot-path contention).
+        Optional :class:`repro.observability.Tracer`, folded onto the
+        run's bus: each worker's kernels are recorded under device id
+        ``"worker-<i>"`` into that thread's own buffer (no hot-path
+        contention).
     batch_updates:
         Coarsen the update phase into row-panel tasks (see module
         docstring); each worker owns a private
@@ -173,7 +175,7 @@ class ThreadedRuntime:
     ) -> TiledQRFactorization:
         """Factorize ``a``; same contract as :meth:`SerialRuntime.factorize`."""
         if self.bundle_out is None:
-            return self._factorize(a, tile_size, resume)
+            return self._factorize(a, tile_size, resume, self.bus)
         meta = {
             "runtime": "threaded",
             "workers": self.num_workers,
@@ -186,12 +188,12 @@ class ThreadedRuntime:
             meta["retry_policy"] = self.retry_policy.to_dict()
         return run_with_bundle_capture(
             self,
-            lambda: self._factorize(a, tile_size, resume),
+            lambda bus: self._factorize(a, tile_size, resume, bus),
             fault_plan=self.chaos.plan if self.chaos is not None else None,
             meta=meta,
         )
 
-    def _factorize(self, a, tile_size: int, resume=None) -> TiledQRFactorization:
+    def _factorize(self, a, tile_size: int, resume, bus) -> TiledQRFactorization:
         tiled, shape = coerce_input(a, tile_size, self.batch_updates)
 
         dag = build_dag(
@@ -264,170 +266,156 @@ class ThreadedRuntime:
             if t not in completed_set and remaining[t] == 0:
                 enqueue(t)
 
-        tracer = self.tracer if self.tracer is not None and self.tracer.enabled else None
-        b = tiled.tile_size
         policy = resolve_policy(self.retry_policy, self.chaos, self.health_checks)
         ref_norm = health_ref_norm(tiled) if self.health_checks else None
-        bus = self.bus
-        if bus is not None:
-            bus.publish(
-                "run.start",
-                "manager",
-                {
-                    "runtime": "threaded",
-                    "total_tasks": total,
-                    "total_units": sum(t.ncols for t in dag.tasks),
-                    "grid": [tiled.grid_rows, tiled.grid_cols],
-                    "tile_size": b,
-                    "workers": self.num_workers,
-                    "completed": done_count[0],
-                },
-            )
-        ckpt = _CheckpointWriter(
-            self.checkpoint_every, self.checkpoint_path, dag, tiled, shape,
-            self.metrics, tracer, bus,
-        )
-
-        def fail(exc: BaseException) -> None:
-            """First-error path: record, cancel all pending work, wake everyone."""
-            with cond:
-                errors.append(exc)
-                # A pauser waiting for quiescence must not deadlock on a
-                # worker that died instead of decrementing inflight.
-                paused[0] = False
-                cond.notify_all()
-            cancel.set()
-            all_done.set()
-
         workspaces = [Workspace() for _ in range(self.num_workers)]
 
-        def pop_task() -> Task | None:
-            """Highest-rank ready task; None when the run is over.
+        def start() -> dict:
+            return {
+                "runtime": "threaded",
+                "total_tasks": total,
+                "total_units": sum(t.ncols for t in dag.tasks),
+                "grid": [tiled.grid_rows, tiled.grid_cols],
+                "tile_size": tiled.tile_size,
+                "workers": self.num_workers,
+                "completed": done_count[0],
+            }
 
-            Blocks while the heap is empty or dispatch is paused for a
-            checkpoint; increments ``inflight`` atomically with the pop
-            so the pauser's quiescence wait is race-free.
-            """
-            with cond:
+        with run_bus(self, bus, "manager", start, lambda: {"tasks": total}) as bus:
+            ckpt = _CheckpointWriter(
+                self.checkpoint_every, self.checkpoint_path, dag, tiled, shape, bus
+            )
+
+            def fail(exc: BaseException) -> None:
+                """First-error path: record, cancel all pending work, wake everyone."""
+                with cond:
+                    errors.append(exc)
+                    # A pauser waiting for quiescence must not deadlock on a
+                    # worker that died instead of decrementing inflight.
+                    paused[0] = False
+                    cond.notify_all()
+                cancel.set()
+                all_done.set()
+
+            def pop_task() -> Task | None:
+                """Highest-rank ready task; None when the run is over.
+
+                Blocks while the heap is empty or dispatch is paused for a
+                checkpoint; increments ``inflight`` atomically with the pop
+                so the pauser's quiescence wait is race-free.
+                """
+                with cond:
+                    while True:
+                        if cancel.is_set() or stop[0]:
+                            return None
+                        if ready_heap and not paused[0]:
+                            _, _, _, task = heappop(ready_heap)
+                            inflight[0] += 1
+                            return task
+                        cond.wait()
+
+            def worker(index: int) -> None:
+                device = f"worker-{index}"
+                workspace = workspaces[index]
                 while True:
-                    if cancel.is_set() or stop[0]:
-                        return None
-                    if ready_heap and not paused[0]:
-                        _, _, _, task = heappop(ready_heap)
-                        inflight[0] += 1
-                        return task
-                    cond.wait()
-
-        def worker(index: int) -> None:
-            device = f"worker-{index}"
-            workspace = workspaces[index]
-            while True:
-                task = pop_task()
-                if task is None:
-                    return
-                def run_one(t: Task):
-                    if policy is not None:
-                        return apply_task_resilient(
-                            t, tiled, factors, workspace,
-                            policy=policy, backend=self.backend, chaos=self.chaos,
-                            health=self.health_checks, health_ref_norm=ref_norm,
-                            metrics=self.metrics,
-                            tracer=tracer, device=device, bus=bus,
-                        )
-                    return apply_task(t, tiled, factors, workspace, backend=self.backend)
-
-                try:
-                    if bus is not None:
-                        t0 = bus.clock()
-                        bus.task_start(task, device, t=t0)
-                    if tracer is not None:
-                        with tracer.task_span(task, device=device, tile_size=b):
-                            produced = run_one(task)
-                    else:
-                        produced = run_one(task)
-                    if bus is not None:
-                        bus.task_finish(task, device, start=t0, end=bus.clock())
-                except BaseException as exc:  # propagate to the caller
+                    task = pop_task()
+                    if task is None:
+                        return
+                    try:
+                        if bus is not None:
+                            t0 = bus.clock()
+                            bus.task_start(task, device, t=t0)
+                        if policy is not None:
+                            produced = apply_task_resilient(
+                                task, tiled, factors, workspace,
+                                policy=policy, backend=self.backend, chaos=self.chaos,
+                                health=self.health_checks, health_ref_norm=ref_norm,
+                                device=device, bus=bus,
+                            )
+                        else:
+                            produced = apply_task(
+                                task, tiled, factors, workspace, backend=self.backend
+                            )
+                        if bus is not None:
+                            bus.task_finish(task, device, start=t0, end=bus.clock())
+                    except BaseException as exc:  # propagate to the caller
+                        with cond:
+                            inflight[0] -= 1
+                            cond.notify_all()
+                        if hasattr(exc, "add_note"):  # 3.11+
+                            exc.add_note(f"while executing task {task.label()} on {device}")
+                        fail(exc)
+                        return
                     with cond:
                         inflight[0] -= 1
-                        cond.notify_all()
-                    if hasattr(exc, "add_note"):  # 3.11+
-                        exc.add_note(f"while executing task {task.label()} on {device}")
-                    fail(exc)
-                    return
-                with cond:
-                    inflight[0] -= 1
-                    parent = chunk_parent.pop(task, None)
-                    if parent is not None:
-                        chunk_left[parent] -= 1
-                        if chunk_left[parent] > 0:
-                            cond.notify_all()
-                            continue  # siblings still running; not done yet
-                        del chunk_left[parent]
-                        task = parent  # the DAG-level task just completed
-                    if produced is not None:
-                        log.append((task, produced))
-                    completed_order.append(task)
-                    done_count[0] += 1
-                    finished = done_count[0] == total
-                    newly_ready = []
-                    for succ in dag.succs[task]:
-                        remaining[succ] -= 1
-                        if remaining[succ] == 0:
-                            newly_ready.append(succ)
-                    for s in newly_ready:
-                        enqueue(s)
-                    if ckpt.task_done() and not finished and not cancel.is_set():
-                        # Stop the world: block new dispatch, drain
-                        # in-flight kernels, snapshot, resume.
-                        paused[0] = True
-                        while inflight[0] > 0 and not cancel.is_set():
-                            cond.wait()
-                        if not cancel.is_set():
-                            try:
-                                ckpt.write(completed_order, log, device=device)
-                            except BaseException as exc:
-                                paused[0] = False
+                        parent = chunk_parent.pop(task, None)
+                        if parent is not None:
+                            chunk_left[parent] -= 1
+                            if chunk_left[parent] > 0:
                                 cond.notify_all()
-                                fail(exc)
-                                return
-                        paused[0] = False
+                                continue  # siblings still running; not done yet
+                            del chunk_left[parent]
+                            task = parent  # the DAG-level task just completed
+                        if produced is not None:
+                            log.append((task, produced))
+                        completed_order.append(task)
+                        done_count[0] += 1
+                        finished = done_count[0] == total
+                        newly_ready = []
+                        for succ in dag.succs[task]:
+                            remaining[succ] -= 1
+                            if remaining[succ] == 0:
+                                newly_ready.append(succ)
+                        for s in newly_ready:
+                            enqueue(s)
+                        if ckpt.task_done() and not finished and not cancel.is_set():
+                            # Stop the world: block new dispatch, drain
+                            # in-flight kernels, snapshot, resume.
+                            paused[0] = True
+                            while inflight[0] > 0 and not cancel.is_set():
+                                cond.wait()
+                            if not cancel.is_set():
+                                try:
+                                    ckpt.write(completed_order, log, device=device)
+                                except BaseException as exc:
+                                    paused[0] = False
+                                    cond.notify_all()
+                                    fail(exc)
+                                    return
+                            paused[0] = False
+                        cond.notify_all()
+                    if finished:
+                        all_done.set()
+
+            threads = [
+                threading.Thread(
+                    target=worker, args=(i,), name=f"tiledqr-worker-{i}", daemon=True
+                )
+                for i in range(self.num_workers)
+            ]
+            monitor = None
+            if bus is not None and bus.heartbeat_interval:
+                from ..observability.live.heartbeat import HeartbeatMonitor
+
+                monitor = HeartbeatMonitor(bus).start()
+            try:
+                for th in threads:
+                    th.start()
+                all_done.wait()
+                with cond:
+                    stop[0] = True
                     cond.notify_all()
-                if finished:
-                    all_done.set()
+                for th in threads:
+                    th.join()
+            finally:
+                if monitor is not None:
+                    monitor.stop()
+            drain_fallbacks(self.metrics, *workspaces)
 
-        threads = [
-            threading.Thread(
-                target=worker, args=(i,), name=f"tiledqr-worker-{i}", daemon=True
-            )
-            for i in range(self.num_workers)
-        ]
-        monitor = None
-        if bus is not None and bus.heartbeat_interval:
-            from ..observability.live.heartbeat import HeartbeatMonitor
-
-            monitor = HeartbeatMonitor(bus).start()
-        try:
-            for th in threads:
-                th.start()
-            all_done.wait()
-            with cond:
-                stop[0] = True
-                cond.notify_all()
-            for th in threads:
-                th.join()
-        finally:
-            if monitor is not None:
-                monitor.stop()
-        drain_fallbacks(self.metrics, *workspaces)
-
-        if errors:
-            raise errors[0]
-        if done_count[0] != total:
-            raise SimulationError(
-                f"threaded runtime finished {done_count[0]}/{total} tasks"
-            )
-        if bus is not None:
-            bus.publish("run.finish", "manager", {"tasks": done_count[0]})
-            bus.drain()  # subscribers have seen everything when we return
+            if errors:
+                raise errors[0]
+            if done_count[0] != total:
+                raise SimulationError(
+                    f"threaded runtime finished {done_count[0]}/{total} tasks"
+                )
         return TiledQRFactorization(r=tiled, log=log, shape=shape)

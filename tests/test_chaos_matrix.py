@@ -62,7 +62,7 @@ def test_serial_survives(name, matrix, clean_r):
     metrics = MetricsRegistry()
     fact = SerialRuntime(
         retry_policy=_policy(name),
-        chaos=ChaosEngine(plan, metrics=metrics),
+        chaos=ChaosEngine(plan),
         health_checks=needs_health,
         metrics=metrics,
     ).factorize(matrix.copy(), B)
@@ -83,7 +83,7 @@ def test_threaded_survives(name, matrix, clean_r):
     fact = ThreadedRuntime(
         num_workers=4,
         retry_policy=_policy(name),
-        chaos=ChaosEngine(plan, metrics=metrics),
+        chaos=ChaosEngine(plan),
         health_checks=needs_health,
         metrics=metrics,
     ).factorize(matrix.copy(), B)

@@ -195,3 +195,20 @@ class TestValidation:
         other = np.random.default_rng(0).standard_normal((128, 128))
         with pytest.raises(CheckpointError, match="grid"):
             SerialRuntime().factorize(other, 16, resume=state)
+
+
+@pytest.mark.parametrize("runtime", ["serial", "threaded", "multiprocess"])
+def test_rejects_checkpoint_every_below_one(runtime, matrix, optimizer, tmp_path):
+    path = tmp_path / "snap.npz"
+    for every in (0, -3):
+        kw = dict(checkpoint_every=every, checkpoint_path=path)
+        if runtime == "serial":
+            rt = SerialRuntime(**kw)
+        elif runtime == "threaded":
+            rt = ThreadedRuntime(num_workers=2, **kw)
+        else:
+            dist = optimizer.plan(matrix_size=N, tile_size=B, num_devices=2)
+            rt = MultiprocessRuntime(dist, **kw)
+        with pytest.raises(ValueError, match=f"checkpoint_every must be >= 1, got {every}"):
+            rt.factorize(matrix.copy(), B)
+    assert not path.exists()

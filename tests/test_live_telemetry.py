@@ -454,7 +454,7 @@ class TestRuntimes:
         seen = _collector(bus)
         fact = ThreadedRuntime(
             2,
-            chaos=ChaosEngine(plan, bus=bus),
+            chaos=ChaosEngine(plan),
             retry_policy=RetryPolicy(
                 max_attempts=2, backoff=0.0, jitter=0.0, deadline=0.2
             ),

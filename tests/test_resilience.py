@@ -22,7 +22,7 @@ from repro.errors import (
     RetryExhaustedError,
     TaskTimeoutError,
 )
-from repro.observability import MetricsRegistry, Tracer
+from repro.observability import MetricsRegistry, TelemetryBus, Tracer
 from repro.resilience import (
     ChaosEngine,
     FaultKind,
@@ -190,9 +190,11 @@ class TestChaosEngine:
         metrics = MetricsRegistry()
         tracer = Tracer(metrics=metrics)
         plan = FaultPlan(specs=(FaultSpec(FaultKind.EXCEPTION),))
-        engine = ChaosEngine(plan, metrics=metrics, tracer=tracer, device="dev-x")
+        bus = _counting_bus(metrics)
+        bus.fold(tracer.on_event)
+        engine = ChaosEngine(plan, device="dev-x")
         with pytest.raises(FaultInjectionError):
-            engine.before_task(Task(TaskKind.GEQRT, 0, 0, 0, 0))
+            engine.before_task(Task(TaskKind.GEQRT, 0, 0, 0, 0), bus=bus)
         assert metrics.snapshot()["counters"]["resilience.faults_injected"] == 1
         recs = tracer.annotation_records()
         assert len(recs) == 1 and recs[0].kind == "fault" and recs[0].device == "dev-x"
@@ -209,6 +211,13 @@ def test_check_finite():
 # ---------------------------------------------------------------------------
 # apply_task_resilient
 # ---------------------------------------------------------------------------
+
+
+def _counting_bus(metrics):
+    """A bus with ``metrics``' resilience counters folded on."""
+    bus = TelemetryBus()
+    bus.fold(metrics.on_event)
+    return bus
 
 
 def _run_dag_resilient(a, b, chaos=None, policy=None, **kw):
@@ -239,8 +248,8 @@ class TestApplyTaskResilient:
         ))
         metrics = MetricsRegistry()
         chaotic = _run_dag_resilient(
-            a, 16, chaos=ChaosEngine(plan, metrics=metrics),
-            health=True, metrics=metrics,
+            a, 16, chaos=ChaosEngine(plan),
+            health=True, bus=_counting_bus(metrics),
         )
         assert np.array_equal(chaotic, clean)
         counters = metrics.snapshot()["counters"]
@@ -282,8 +291,8 @@ class TestApplyTaskResilient:
         metrics = MetricsRegistry()
         clean = _run_dag_resilient(a, 16)
         hung = _run_dag_resilient(
-            a, 16, chaos=ChaosEngine(plan, metrics=metrics),
-            policy=RetryPolicy(backoff=0.0, deadline=0.05), metrics=metrics,
+            a, 16, chaos=ChaosEngine(plan),
+            policy=RetryPolicy(backoff=0.0, deadline=0.05), bus=_counting_bus(metrics),
         )
         assert np.array_equal(hung, clean)
         counters = metrics.snapshot()["counters"]
@@ -305,12 +314,12 @@ class _RecordingChaos(ChaosEngine):
         self.fatal_at: float | None = None
         self._rec_lock = threading.Lock()
 
-    def before_task(self, task, device=None):
+    def before_task(self, task, device=None, bus=None):
         now = time.monotonic()
         with self._rec_lock:
             self.started.append((now, task))
         try:
-            super().before_task(task, device)
+            super().before_task(task, device, bus=bus)
         except FaultInjectionError:
             with self._rec_lock:
                 self.fatal_at = time.monotonic()
