@@ -909,7 +909,9 @@ def _cmd_trace(args) -> int:
         return 2
     if not _resolve_backend_arg(args.backend):
         return 2
+    from .kernels.backends import DEFAULT_BACKEND
 
+    backend = args.backend or DEFAULT_BACKEND
     metrics = MetricsRegistry()
     tracer = Tracer(metrics=metrics)
     rng = np.random.default_rng(args.seed)
@@ -972,7 +974,7 @@ def _cmd_trace(args) -> int:
             batch_updates=args.batch_updates,
             workers=args.workers if args.runtime == "threaded" else None,
             seed=args.seed,
-            backend=args.backend or "reference",
+            backend=backend,
             decisions=(
                 plan.notes["audit"].to_dict()["decisions"]
                 if plan is not None else None
@@ -990,9 +992,9 @@ def _cmd_trace(args) -> int:
             args.profile_out,
             meta={
                 "runtime": args.runtime, "n": n, "seed": args.seed,
-                "backend": args.backend or "reference",
+                "backend": backend,
             },
-            backend=args.backend or "reference",
+            backend=backend,
         )
     if args.perf_out:
         path = record_traced_run(
@@ -1120,7 +1122,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="NAME",
         help="kernel backend to execute with (see `tiledqr backends`; "
-        "default: the plan's selected backend, falling back to reference)",
+        "default: the plan's selected backend, falling back to lapack)",
     )
     p_fact.add_argument("--workers", type=int, default=4, help="threaded worker count")
     p_fact.add_argument(

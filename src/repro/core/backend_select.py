@@ -2,18 +2,16 @@
 
 The backend registry (:mod:`repro.kernels.backends`) can hold several
 implementations of the tile kernels; which one is fastest depends on the
-device and the tile size (a jitted backend wins on small tiles where
-call overhead dominates, the cache-blocked NumPy variant on wide
-panels).  This stage closes that loop the same way the scheduling
-policies do: it reads *measured* per-``(device, kind, tile size,
-backend)`` timings from a :class:`~repro.observability.profile.
+device and the tile size.  This stage closes that loop the same way the
+scheduling policies do: it reads *measured* per-``(device, kind, tile
+size, backend)`` timings from a :class:`~repro.observability.profile.
 ProfileStore` and picks, per participant device, the backend with the
 smallest summed mean per-call seconds over the kernel kinds every
 candidate was measured on (see :meth:`ProfileStore.backend_ranking`).
 
-Devices with no measured backend timings fall back to the ``reference``
-backend — an explicit, audited fallback, never a silent one.  The
-decision lands in the plan's :class:`~repro.observability.decisions.
+Devices with no measured backend timings fall back to the default
+backend (``lapack``) — an explicit, audited fallback, never a silent
+one.  The decision lands in the plan's :class:`~repro.observability.decisions.
 DecisionAudit` under :data:`~repro.observability.decisions.
 STAGE_BACKEND`, so ``tiledqr plan --explain`` shows which timings made
 the choice.
@@ -48,7 +46,7 @@ def select_kernel_backends(
     profile:
         Optional :class:`~repro.observability.profile.ProfileStore` of
         measured timings.  ``None`` (or a store with no backend-tagged
-        measurements for a device) selects ``reference`` for that
+        measurements for a device) selects the default backend for that
         device, with the fallback noted in the audit.
     audit:
         Optional :class:`~repro.observability.decisions.DecisionAudit`;

@@ -106,7 +106,7 @@ def fit_timing_model(measurements: dict[Step, dict[int, float]]) -> KernelTiming
         scale = np.linalg.norm(design, axis=0)
         fac = tiled_qr(design / scale, tile_size=max(2, len(bs) // 2))
         qtb = fac.apply_qt(target)
-        coeff = back_substitution(fac.r_dense()[:2, :2], qtb[:2, None])[:, 0] / scale
+        coeff = back_substitution(fac.r_economy(), qtb[:2, None])[:, 0] / scale
         c0, c1 = float(coeff[0]), float(coeff[1])
         if c1 <= 0.0:
             # Degenerate timing (all overhead): flat model, huge rate.

@@ -9,17 +9,13 @@ runtimes call a kernel.
 
 Shipped backends
 ----------------
+``lapack`` (the default)
+    LAPACK's ``?geqrt``/``?tpqrt`` tile factorizations through SciPy,
+    with the reference update kernels
+    (see :mod:`repro.kernels.backends.lapack`).
 ``reference``
     The pure-NumPy kernels of :mod:`repro.kernels` — the conformance
     oracle every other backend is checked against.
-``blocked``
-    Same factorization kernels as ``reference`` (bit-identical R), with
-    the update GEMMs chunked into cache-sized column slabs for large
-    tiles / wide panels (see :mod:`repro.kernels.backends.blocked`).
-``numba``
-    Jitted factorization loops (:mod:`repro.kernels.backends.numba_backend`).
-    Registered only when numba imports; absence is a silent no-op, so
-    the library never requires the dependency.
 
 Every registered backend must pass the differential conformance harness
 (:mod:`repro.kernels.backends.conformance`, ``tiledqr backends --check``,
@@ -54,8 +50,8 @@ KERNEL_NAMES = (
     "ttmqr_batch",
 )
 
-#: The backend used when none is requested (also the conformance oracle).
-DEFAULT_BACKEND = "reference"
+#: The backend used when none is requested.
+DEFAULT_BACKEND = "lapack"
 
 
 @runtime_checkable
@@ -72,9 +68,8 @@ class KernelBackend(Protocol):
 
     name: str
     description: str
-    #: True when the backend involves ahead-of-time/JIT compilation —
-    #: the performance gate in ``benchmarks/bench_backend_kernels.py``
-    #: only applies to compiled backends.
+    #: True when the backend compiles code ahead of time or at first
+    #: call (informational; ``tiledqr backends`` lists it).
     compiled: bool
     #: True when the backend guarantees *bit-identical* results to the
     #: reference backend (same arithmetic, possibly regrouped only along
@@ -174,7 +169,7 @@ def get_backend(name: str) -> KernelBackend:
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, ``reference`` first, rest sorted."""
+    """Registered backend names, the default first, rest sorted."""
     with _LOCK:
         names = set(_REGISTRY)
     head = [DEFAULT_BACKEND] if DEFAULT_BACKEND in names else []
@@ -212,18 +207,10 @@ def backend_info() -> list[dict]:
 # -- shipped backends -------------------------------------------------------
 
 from .reference import REFERENCE_BACKEND  # noqa: E402
-from .blocked import BLOCKED_BACKEND  # noqa: E402
-from .numba_backend import HAVE_NUMBA, make_numba_backend  # noqa: E402
+from .lapack import LAPACK_BACKEND  # noqa: E402
 
 register_backend(REFERENCE_BACKEND)
-register_backend(BLOCKED_BACKEND)
-
-#: The numba backend instance, or ``None`` when numba is absent — the
-#: graceful-degradation contract: importing this package never fails for
-#: lack of an optional compiler.
-NUMBA_BACKEND = make_numba_backend()
-if NUMBA_BACKEND is not None:  # pragma: no cover - requires numba installed
-    register_backend(NUMBA_BACKEND)
+register_backend(LAPACK_BACKEND)
 
 __all__ = [
     "KERNEL_NAMES",
@@ -237,7 +224,5 @@ __all__ = [
     "resolve_backend",
     "backend_info",
     "REFERENCE_BACKEND",
-    "BLOCKED_BACKEND",
-    "NUMBA_BACKEND",
-    "HAVE_NUMBA",
+    "LAPACK_BACKEND",
 ]

@@ -333,9 +333,9 @@ def run_conformance(
     itself it must come out bitwise clean, which keeps the harness
     honest about its own plumbing.
     """
-    from . import DEFAULT_BACKEND, available_backends, get_backend
+    from . import available_backends, get_backend
 
-    reference = get_backend(DEFAULT_BACKEND)
+    reference = get_backend("reference")
     names = list(backends) if backends is not None else list(available_backends())
     report = ConformanceReport(backends=names)
     for name in names:

@@ -80,7 +80,7 @@ def lstsq(
     if b_arr.shape[0] != m:
         raise ShapeError(f"b must have {m} rows, got {b_arr.shape}")
     qtb = f.apply_qt(b_arr)
-    x = back_substitution(f.r_dense()[:n, :n], qtb[:n])
+    x = back_substitution(f.r_economy(), qtb[:n])
     residuals = np.linalg.norm(qtb[n:], axis=0) if m > n else np.zeros(b_arr.shape[1])
     return (x[:, 0], residuals[0]) if squeeze else (x, residuals)
 
@@ -137,7 +137,7 @@ def lq(a: np.ndarray, tile_size: int = DEFAULT_TILE_SIZE) -> tuple[np.ndarray, n
     if m > n:
         raise ShapeError(f"lq needs a wide matrix (m <= n), got {arr.shape}")
     f = tiled_qr(arr.T, tile_size=tile_size)
-    r = f.r_dense()[:m, :m]
+    r = f.r_economy()
     eye = np.zeros((n, m))
     np.fill_diagonal(eye, 1.0)
     q_cols = f.apply_q(eye)  # leading m columns of Q~

@@ -75,7 +75,7 @@ class StreamingLeastSquares:
         self = cls(n, window=window)
         f = tiled_qr(x, tile_size=tile_size)
         qty = f.apply_qt(y)
-        self.r = np.triu(f.r_dense()[:n, :n])
+        self.r = np.triu(f.r_economy())
         self.z = qty[:n].copy()
         self._rss = float(qty[n:] @ qty[n:])
         self.num_observations = m

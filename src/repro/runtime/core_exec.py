@@ -56,7 +56,7 @@ def apply_task(
         the calling worker; ``None`` uses the thread-local default.
     backend:
         The :class:`~repro.kernels.backends.KernelBackend` executing the
-        kernels; ``None`` means the ``reference`` backend.  Runtimes
+        kernels; ``None`` means the default (``lapack``) backend.  Runtimes
         resolve this once per run and pass the object, so the per-task
         cost is one attribute lookup.
 

@@ -142,6 +142,22 @@ class TiledQRFactorization:
         """Materialize ``R`` (``m x n``, upper triangular)."""
         return self.r.to_dense()
 
+    def r_economy(self) -> np.ndarray:
+        """The leading ``k x k`` block of ``R``, ``k = min(m, n)``.
+
+        Equal to ``r_dense()[:k, :k]`` but assembled from the first tile
+        rows only: a tall factorization never materializes the zero rows
+        below R's triangle.
+        """
+        k = min(self.shape)
+        b = self.tile_size
+        out = np.empty((k, k), dtype=self.r.dtype)
+        for i in range(0, k, b):
+            for j in range(0, k, b):
+                tile = self.r.tile(i // b, j // b)
+                out[i : i + b, j : j + b] = tile[: min(b, k - i), : min(b, k - j)]
+        return out
+
     # -- linear solves ----------------------------------------------------
 
     def solve(self, b: np.ndarray) -> np.ndarray:

@@ -77,7 +77,7 @@ from ..core.plan import DistributionPlan
 from ..dag.tasks import Task, TaskKind
 from ..dag.trees import canonical_tree
 from ..errors import SimulationError, WorkerFailoverError
-from ..kernels.backends import resolve_backend
+from ..kernels.backends import DEFAULT_BACKEND, resolve_backend
 from ..kernels.geqrt import GEQRTResult
 from ..kernels.tsqrt import TSQRTResult
 from ..kernels.workspace import Workspace, drain_fallbacks
@@ -274,7 +274,7 @@ def _worker_main(
     fault_plan=None,
     retry_policy=None,
     health: bool = False,
-    backend_name: str = "reference",
+    backend_name: str = DEFAULT_BACKEND,
 ) -> None:
     """Worker process body: a message loop over the owned columns.
 

@@ -303,7 +303,7 @@ class SerialRuntime:
     backend:
         Kernel backend executing the tile kernels — a registered name,
         a :class:`~repro.kernels.backends.KernelBackend` object, or
-        ``None`` for the ``reference`` backend.  Resolved once at
+        ``None`` for the default ``lapack`` backend.  Resolved once at
         construction (unknown names fail fast, not mid-factorization).
     """
 

@@ -127,7 +127,7 @@ class ThreadedRuntime:
         Optional failure-bundle path, identical to
         :class:`~repro.runtime.serial.SerialRuntime`'s.
     backend:
-        Kernel backend (name, object, or ``None`` for ``reference``),
+        Kernel backend (name, object, or ``None`` for the default),
         shared by every worker — backend objects must therefore be
         thread-safe for concurrent kernel calls (the shipped ones are
         stateless).

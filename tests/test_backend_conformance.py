@@ -2,8 +2,8 @@
 
 Four layers, mirroring the contract in ``docs/KERNELS.md``:
 
-* **registry** — registration/lookup/validation semantics, including
-  the graceful no-op when numba is absent;
+* **registry** — registration/lookup/validation semantics, and
+  ``lapack`` as the default;
 * **differential kernels** — hypothesis-driven agreement of every
   registered backend with the ``reference`` oracle, per kernel, over
   randomized tile sizes, shapes, and dtypes (``<= 1e-12`` in float64);
@@ -33,9 +33,7 @@ from repro.errors import KernelError
 from repro.kernels import Workspace
 from repro.kernels.backends import (
     DEFAULT_BACKEND,
-    HAVE_NUMBA,
     KERNEL_NAMES,
-    NUMBA_BACKEND,
     FunctionBackend,
     available_backends,
     backend_info,
@@ -66,12 +64,12 @@ from tests.strategies import (
 )
 from tests.test_profile_perf import small_trace
 
-REFERENCE = get_backend(DEFAULT_BACKEND)
+REFERENCE = get_backend("reference")
 
 #: Every registered backend; the non-reference ones get the
 #: differential treatment (reference vs itself is a tautology).
 ALL_BACKENDS = list(available_backends())
-OTHER_BACKENDS = [n for n in ALL_BACKENDS if n != DEFAULT_BACKEND]
+OTHER_BACKENDS = [n for n in ALL_BACKENDS if n != "reference"]
 
 dtypes_st = st.sampled_from(DTYPES)
 
@@ -97,7 +95,7 @@ class TestRegistry:
     def test_reference_is_registered_and_first(self):
         names = available_backends()
         assert names[0] == DEFAULT_BACKEND
-        assert "blocked" in names
+        assert "lapack" in names
         assert list(names[1:]) == sorted(names[1:])
 
     def test_unknown_backend_lists_registered(self):
@@ -105,8 +103,9 @@ class TestRegistry:
             get_backend("no-such-backend")
 
     def test_resolve_none_string_and_object(self):
-        assert resolve_backend(None) is REFERENCE
-        assert resolve_backend("blocked") is get_backend("blocked")
+        assert resolve_backend(None) is get_backend(DEFAULT_BACKEND)
+        assert DEFAULT_BACKEND == "lapack"
+        assert resolve_backend("lapack") is get_backend("lapack")
         clone = _clone_reference("unregistered-clone")
         assert resolve_backend(clone) is clone  # objects pass through
 
@@ -147,12 +146,6 @@ class TestRegistry:
             assert isinstance(d["compiled"], bool)
             assert isinstance(d["bit_exact"], bool)
             assert d["description"]
-
-    def test_numba_absence_is_a_graceful_noop(self):
-        # The container intentionally lacks numba: importing the package
-        # must still succeed (it did, above) and simply not register it.
-        assert ("numba" in available_backends()) == HAVE_NUMBA
-        assert (NUMBA_BACKEND is not None) == HAVE_NUMBA
 
 
 @pytest.mark.parametrize("backend_name", OTHER_BACKENDS)
@@ -309,7 +302,11 @@ class TestEndToEndAcrossRuntimes:
 
     @pytest.fixture(scope="class")
     def reference_r(self, matrix):
-        return SerialRuntime("TS").factorize(matrix.copy(), self.B).r_dense()
+        return (
+            SerialRuntime("TS", backend="reference")
+            .factorize(matrix.copy(), self.B)
+            .r_dense()
+        )
 
     def _check(self, backend_name, r_got, r_ref):
         if get_backend(backend_name).bit_exact:
@@ -320,7 +317,11 @@ class TestEndToEndAcrossRuntimes:
     @pytest.mark.parametrize("elimination", ["TS", "TT"])
     @pytest.mark.parametrize("backend_name", ALL_BACKENDS)
     def test_serial(self, matrix, backend_name, elimination):
-        ref = SerialRuntime(elimination).factorize(matrix.copy(), self.B).r_dense()
+        ref = (
+            SerialRuntime(elimination, backend="reference")
+            .factorize(matrix.copy(), self.B)
+            .r_dense()
+        )
         got = (
             SerialRuntime(elimination, backend=backend_name)
             .factorize(matrix.copy(), self.B)
@@ -408,7 +409,7 @@ class TestRunConformance:
         assert any("input modified" in c.note for c in report.failures())
 
     def test_end_to_end_bit_exactness_enforced(self):
-        case = check_end_to_end(get_backend("blocked"), REFERENCE)
+        case = check_end_to_end(_clone_reference("bit-exact-clone"), REFERENCE)
         assert case.ok and case.max_err == 0.0 and case.tol == 0.0
 
 
@@ -426,16 +427,16 @@ class TestBackendSelection:
         store = ProfileStore()
         store.ingest_trace(small_trace(device="dev"), tile_size=16)
         store.ingest_trace(
-            small_trace(device="dev", scale=0.5), tile_size=16, backend="blocked"
+            small_trace(device="dev", scale=0.5), tile_size=16, backend="lapack"
         )
         audit = DecisionAudit()
         choices = select_kernel_backends(("dev",), 16, profile=store, audit=audit)
-        assert choices == {"dev": "blocked"}
+        assert choices == {"dev": "lapack"}
         rec = audit.get(STAGE_BACKEND)
-        assert rec.chosen == "dev=blocked"
+        assert rec.chosen == "dev=lapack"
         assert rec.margin > 0
-        assert set(rec.inputs["dev"]) == {"reference", "blocked"}
-        assert rec.inputs["dev"]["blocked"] < rec.inputs["dev"]["reference"]
+        assert set(rec.inputs["dev"]) == {"reference", "lapack"}
+        assert rec.inputs["dev"]["lapack"] < rec.inputs["dev"]["reference"]
 
     def test_unregistered_backend_measurements_are_ignored(self):
         store = ProfileStore()
@@ -448,7 +449,7 @@ class TestBackendSelection:
     def test_tile_size_mismatch_falls_back(self):
         store = ProfileStore()
         store.ingest_trace(
-            small_trace(device="dev", b=16), tile_size=16, backend="blocked"
+            small_trace(device="dev", b=16), tile_size=16, backend="lapack"
         )
         choices = select_kernel_backends(("dev",), 32, profile=store)
         assert choices == {"dev": DEFAULT_BACKEND}
@@ -458,7 +459,7 @@ class TestBackendSelection:
         for dev in system.device_ids:
             store.ingest_trace(small_trace(device=dev), tile_size=16)
             store.ingest_trace(
-                small_trace(device=dev, scale=0.5), tile_size=16, backend="blocked"
+                small_trace(device=dev, scale=0.5), tile_size=16, backend="lapack"
             )
         audit = DecisionAudit()
         plan = Optimizer(system, topology, profile=store).plan(
@@ -466,9 +467,9 @@ class TestBackendSelection:
         )
         backends = plan.notes["backends"]
         assert set(backends) == set(plan.participants)
-        assert all(b == "blocked" for b in backends.values())
+        assert all(b == "lapack" for b in backends.values())
         text = explain_plan(plan)
-        assert STAGE_BACKEND in text and "blocked" in text
+        assert STAGE_BACKEND in text and "lapack" in text
 
     def test_optimizer_without_profile_still_notes_backends(self, optimizer):
         plan = optimizer.plan(matrix_size=128, tile_size=16)
@@ -480,10 +481,10 @@ class TestBackendSelection:
         store = ProfileStore()
         store.ingest_trace(small_trace(device="dev"), tile_size=16)
         store.ingest_trace(
-            small_trace(device="dev", scale=3.0), tile_size=16, backend="blocked"
+            small_trace(device="dev", scale=3.0), tile_size=16, backend="lapack"
         )
         ranking = store.backend_ranking(device="dev", tile_size=16)
-        assert [name for name, _ in ranking] == ["reference", "blocked"]
+        assert [name for name, _ in ranking] == ["reference", "lapack"]
         scores = [s for _, s in ranking]
         assert scores == sorted(scores)
         assert store.best_backend(device="dev", tile_size=16) == "reference"

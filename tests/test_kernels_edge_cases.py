@@ -91,7 +91,7 @@ class TestRaggedBoundaries:
     @pytest.mark.parametrize("shape", [(33, 33), (49, 33), (65, 17)])
     def test_indivisible_sizes_all_backends(self, shape):
         a = random_tile(hash(shape) % 1000, shape)
-        ref = SerialRuntime().factorize(a.copy(), tile_size=16)
+        ref = SerialRuntime(backend="reference").factorize(a.copy(), tile_size=16)
         for name in available_backends():
             fact = SerialRuntime(backend=name).factorize(a.copy(), tile_size=16)
             if get_backend(name).bit_exact:

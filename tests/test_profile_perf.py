@@ -373,7 +373,7 @@ class TestEndToEndLoop:
     def test_measured_loop_matches_direct_calls(self):
         tracer = Tracer()
         a = np.random.default_rng(3).standard_normal((96, 96))
-        ThreadedRuntime(num_workers=2, tracer=tracer).factorize(a, 32)
+        ThreadedRuntime(num_workers=2, tracer=tracer, backend="reference").factorize(a, 32)
         store = ProfileStore()
         store.ingest_trace(tracer.to_trace(), tile_size=32)
         system = store.to_system()
