@@ -1,6 +1,7 @@
 """Regenerates paper Fig. 3 (DAG structure) and benchmarks DAG construction."""
 
 from repro.dag import build_dag
+from repro.dag.schedule import _compile
 from repro.experiments import fig3_dag
 
 from .conftest import run_experiment_benchmark
@@ -20,3 +21,11 @@ def test_dag_build_throughput(benchmark):
     """Tasks/second of the dependency-inference builder (20x20 grid)."""
     dag = benchmark(build_dag, 20, 20)
     assert len(dag) == 2870
+
+
+def test_schedule_compile(benchmark):
+    """Cold compile of a cached schedule (20x20 grid, b=32): the one-off
+    cost a runtime pays per configuration instead of per call."""
+
+    sched = benchmark(_compile.__wrapped__, 20, 20, "flat", False, 32)
+    assert len(sched) == 2870 and len(sched.order) == 2870

@@ -76,7 +76,7 @@ def select_kernel_backends(
             ]
         if not ranking:
             choices[dev] = DEFAULT_BACKEND
-            notes[dev] = "no measured backend timings; reference fallback"
+            notes[dev] = f"no measured backend timings; {DEFAULT_BACKEND} fallback"
             cands.append(Candidate(name=f"{dev}:{DEFAULT_BACKEND}", chosen=True))
             continue
         best, best_score = ranking[0]

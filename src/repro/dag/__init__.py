@@ -11,6 +11,7 @@ from .analysis import (
     bottom_level_ranks,
     task_weight_model,
 )
+from .schedule import Schedule, compile_schedule
 
 __all__ = [
     "Step",
@@ -29,4 +30,6 @@ __all__ = [
     "max_parallelism",
     "bottom_level_ranks",
     "task_weight_model",
+    "Schedule",
+    "compile_schedule",
 ]

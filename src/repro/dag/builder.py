@@ -232,38 +232,6 @@ class TiledQRDag:
             out[t.step] += 1
         return out
 
-    def validate_completed(self, completed: set[Task] | frozenset[Task]) -> None:
-        """Check that ``completed`` is a sound partial execution state.
-
-        Every completed task must belong to this DAG and have all of its
-        predecessors completed (downward closure) — otherwise the state
-        cannot have arisen from any legal execution and resuming from it
-        would silently compute garbage.
-        """
-        known = self.preds.keys()
-        for t in completed:
-            if t not in known:
-                raise DAGError(f"completed task {t} is not in this DAG")
-            missing = [d for d in self.preds[t] if d not in completed]
-            if missing:
-                raise DAGError(
-                    f"completed set is not closed under dependencies: "
-                    f"{t} done but predecessor {missing[0]} is not"
-                )
-
-    def frontier(self, completed: set[Task] | frozenset[Task]) -> list[Task]:
-        """Tasks ready to run given a completed set (in emission order).
-
-        The execution frontier of a partial factorization: every
-        not-yet-completed task whose predecessors have all completed.
-        Checkpoint resume seeds the runtimes from exactly this set.
-        """
-        return [
-            t
-            for t in self.tasks
-            if t not in completed and all(d in completed for d in self.preds[t])
-        ]
-
     def validate(self) -> None:
         """Cheap structural self-check (used by tests).
 

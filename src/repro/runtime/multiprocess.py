@@ -74,6 +74,7 @@ from time import perf_counter
 import numpy as np
 
 from ..core.plan import DistributionPlan
+from ..dag.schedule import compile_schedule
 from ..dag.tasks import Task, TaskKind
 from ..dag.trees import canonical_tree
 from ..errors import SimulationError, WorkerFailoverError
@@ -536,12 +537,9 @@ class MultiprocessRuntime:
         # rank each trailing column of each panel by the highest
         # bottom-level rank among its update tasks, so broadcasts hit
         # the most critical columns — the upcoming panels — first.
-        from ..dag import build_dag
-        from ..dag.analysis import bottom_level_ranks, task_weight_model
-
-        ref_dag = build_dag(p, q, self.elimination, batch_updates=False)
+        schedule = compile_schedule(p, q, self.elimination, False, b)
         col_rank: dict[tuple[int, int], float] = {}
-        for t, r in bottom_level_ranks(ref_dag, task_weight_model(b)).items():
+        for t, r in zip(schedule.tasks, schedule.ranks):
             key = (t.k, t.col)
             if r > col_rank.get(key, -1.0):
                 col_rank[key] = r
@@ -817,7 +815,7 @@ class MultiprocessRuntime:
                     transfer(col_home[k], owner_p, nbytes, t0, f"col{k}")
                 col_home[k] = owner_p
             if not panel_done.get(k):
-                tasks = [t for t in ref_dag.panel_tasks(k) if not t.step.is_update]
+                tasks = [t for t in schedule.panel_tasks(k) if not t.step.is_update]
                 factors, r_col = ask(
                     owner_p, FactorPanel(k=k, tasks=tasks), n_kernels=len(tasks)
                 )
@@ -862,7 +860,6 @@ class MultiprocessRuntime:
 
         def write_checkpoint(k: int) -> None:
             """Panel-aligned format-2 snapshot after panel ``k``."""
-            from ..dag import build_dag
             from .checkpoint import save_partial_factorization
 
             # Gather live columns; fall back to manager-side recovery for
@@ -883,8 +880,7 @@ class MultiprocessRuntime:
             for j, tiles in cols_by_j.items():
                 for i in range(p):
                     tiled.set_tile(i, j, tiles[i])
-            dag = build_dag(p, q, self.elimination, batch_updates=False)
-            completed = [t for t in dag.tasks if t.k <= k]
+            completed = [t for t in schedule.tasks if t.k <= k]
             save_partial_factorization(
                 self.checkpoint_path, tiled, completed, log, arr_shape,
                 elimination=self.elimination, batch_updates=False,
@@ -903,8 +899,8 @@ class MultiprocessRuntime:
         def start() -> dict:
             return {
                 "runtime": "multiprocess",
-                "total_tasks": len(ref_dag.tasks),
-                "total_units": sum(t.ncols for t in ref_dag.tasks),
+                "total_tasks": len(schedule),
+                "total_units": sum(t.ncols for t in schedule.tasks),
                 "grid": [p, q],
                 "tile_size": b,
                 "devices": list(self.plan.participants),
@@ -1008,7 +1004,6 @@ class MultiprocessRuntime:
 
     def _resume_state(self, resume):
         """Validate a panel-aligned partial snapshot for this runtime."""
-        from ..dag import build_dag
         from .checkpoint import CheckpointError
 
         snap_tree = canonical_tree(resume.elimination)
@@ -1021,13 +1016,12 @@ class MultiprocessRuntime:
             )
         tiled = resume.tiled
         p, q = tiled.grid_rows, tiled.grid_cols
-        dag = build_dag(p, q, self.elimination, batch_updates=False)
-        completed = set(resume.completed)
-        dag.validate_completed(completed)
+        schedule = compile_schedule(p, q, self.elimination, False, tiled.tile_size)
+        done = schedule.completed_indices(resume.completed)
         done_panels = 0
         for k in range(min(p, q)):
-            panel = dag.panel_tasks(k)
-            n_done = sum(1 for t in panel if t in completed)
+            panel = schedule.panel_tasks(k)
+            n_done = sum(1 for t in panel if schedule.index[t] in done)
             if n_done == len(panel):
                 done_panels = k + 1
             elif n_done == 0:
@@ -1038,8 +1032,8 @@ class MultiprocessRuntime:
                     f"panel {k} is only partially complete ({n_done}/{len(panel)} "
                     f"tasks) — resume it with the serial or threaded runtime"
                 )
-        if len(completed) != sum(
-            len(dag.panel_tasks(k)) for k in range(done_panels)
+        if len(done) != sum(
+            len(schedule.panel_tasks(k)) for k in range(done_panels)
         ):
             raise CheckpointError(
                 "multiprocess resume requires panel-aligned snapshots — "

@@ -1,27 +1,32 @@
 """Deterministic single-threaded execution of the tiled-QR DAG.
 
-Tasks run one at a time in *critical-path priority order*: ready tasks
-are popped highest bottom-level rank first (see
-:func:`repro.dag.analysis.bottom_level_ranks`), with the DAG emission
-order as the deterministic tie-break.  Any topological order produces a
-bit-identical R (unordered tasks touch disjoint tile rows), so the
-priority order changes nothing numerically — but it makes the serial
-runtime execute the same schedule shape the parallel runtimes and the
-simulator prefer, and it keeps mid-run checkpoints frontier-shaped the
-way a parallel resume expects.
+Tasks run one at a time in *critical-path priority order*: the
+configuration's compiled :class:`~repro.dag.schedule.Schedule` carries
+a list schedule that always takes the ready task with the highest
+bottom-level rank (see :func:`repro.dag.analysis.bottom_level_ranks`),
+with the DAG emission order as the deterministic tie-break.  The order
+is computed once per (grid, tree, batching, tile size) by
+:func:`~repro.dag.schedule.compile_schedule` and cached, so a
+``factorize`` call builds no DAG and keeps no ready queue: it walks
+``schedule.order``.  A resumed run walks the same order with the
+snapshot's completed tasks filtered out — still a topological order,
+because a legal completed set is closed under dependencies.
+
+Any topological order produces a bit-identical R (unordered tasks touch
+disjoint tile rows), so the priority order changes nothing numerically
+— but it makes the serial runtime execute the same schedule shape the
+parallel runtimes and the simulator prefer, and it keeps mid-run
+checkpoints frontier-shaped the way a parallel resume expects.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from heapq import heappop, heappush
 
 import numpy as np
 
 from ..config import DEFAULT_TILE_SIZE
-from ..dag import build_dag
-from ..dag.analysis import bottom_level_ranks, task_weight_model
-from ..dag.tasks import Task
+from ..dag.schedule import compile_schedule
 from ..dag.trees import canonical_tree
 from ..errors import ShapeError, SimulationError, TilingError
 from ..kernels.backends import resolve_backend
@@ -125,9 +130,11 @@ def run_with_bundle_capture(runtime, call, *, fault_plan=None, plan=None, meta=N
 def coerce_input(a, tile_size: int, batch_updates: bool, dtype=None):
     """Shared dense/tiled input handling: returns ``(tiled, shape)``.
 
-    Dense input must be a real 2-D matrix with ``m >= n``; complex input
-    is rejected rather than silently cast to real.  ``dtype``, when
-    given, is the dtype dense input is tiled in (after the checks).
+    Dense input must be a real, finite 2-D matrix with ``m >= n``;
+    complex input is rejected rather than silently cast to real, and a
+    NaN or Inf entry is rejected rather than propagated into a NaN R.
+    ``dtype``, when given, is the dtype dense input is tiled in (after
+    the checks).
     """
     if isinstance(a, TiledMatrix):
         return a, a.shape
@@ -140,15 +147,17 @@ def coerce_input(a, tile_size: int, batch_updates: bool, dtype=None):
         raise TilingError(
             f"complex input ({arr.dtype}) is not supported: tiled QR is real-only"
         )
+    if not np.isfinite(arr).all():
+        raise TilingError("input contains NaN or Inf entries: tiled QR needs finite input")
     tiled = TiledMatrix.from_dense(
         arr, tile_size, dtype=dtype, storage="rowmajor" if batch_updates else "tiles"
     )
     return tiled, arr.shape
 
 
-def check_resume_state(resume, dag, tiled, elimination: str, batch_updates: bool):
+def check_resume_state(resume, schedule, tiled):
     """Validate a :class:`~repro.runtime.checkpoint.PartialState` against
-    the runtime's DAG and return its completed set.
+    the runtime's compiled schedule and return its completed task indices.
 
     Raises :class:`~repro.runtime.checkpoint.CheckpointError` when the
     snapshot was taken under a different DAG configuration (resuming
@@ -163,7 +172,8 @@ def check_resume_state(resume, dag, tiled, elimination: str, batch_updates: bool
     # genuine tree mismatch — e.g. resuming a GREEDY run as BINARY —
     # still fails loudly.
     snap_tree = canonical_tree(resume.elimination)
-    run_tree = canonical_tree(elimination)
+    run_tree = schedule.elimination
+    batch_updates = schedule.batch_updates
     if snap_tree != run_tree or resume.batch_updates != batch_updates:
         raise CheckpointError(
             f"snapshot was taken with elimination tree {snap_tree!r} "
@@ -182,9 +192,7 @@ def check_resume_state(resume, dag, tiled, elimination: str, batch_updates: bool
             f"snapshot factors a {resume.shape[0]}x{resume.shape[1]} matrix, "
             f"but the target is {tiled.shape[0]}x{tiled.shape[1]}"
         )
-    completed = set(resume.completed)
-    dag.validate_completed(completed)
-    return completed
+    return schedule.completed_indices(resume.completed)
 
 
 def check_checkpoint_every(every) -> None:
@@ -202,11 +210,11 @@ class _CheckpointWriter:
     (the caller guarantees no task is in flight).
     """
 
-    def __init__(self, every, path, dag, tiled, shape, bus=None):
+    def __init__(self, every, path, schedule, tiled, shape, bus=None):
         check_checkpoint_every(every)
         self.every = every
         self.path = path
-        self.dag = dag
+        self.schedule = schedule
         self.tiled = tiled
         self.shape = shape
         self.bus = bus
@@ -229,8 +237,8 @@ class _CheckpointWriter:
             completed,
             log,
             self.shape,
-            self.dag.elimination,
-            self.dag.batch_updates,
+            self.schedule.elimination,
+            self.schedule.batch_updates,
         )
         self._since = 0
         if self.bus is not None:
@@ -239,7 +247,7 @@ class _CheckpointWriter:
                 device,
                 {
                     "completed": len(completed),
-                    "total": len(self.dag.tasks),
+                    "total": len(self.schedule),
                     "path": str(self.path),
                 },
             )
@@ -379,21 +387,21 @@ class SerialRuntime:
 
     def _factorize(self, a, tile_size: int, resume, bus) -> TiledQRFactorization:
         tiled, shape = coerce_input(a, tile_size, self.batch_updates)
-        dag = build_dag(
-            tiled.grid_rows, tiled.grid_cols, self.elimination, self.batch_updates
+        schedule = compile_schedule(
+            tiled.grid_rows, tiled.grid_cols, self.elimination, self.batch_updates,
+            tiled.tile_size,
         )
+        tasks = schedule.tasks
+        order = schedule.order
         log: list = []
-        completed: set = set()
         completed_order: list = []
         if resume is not None:
-            completed = check_resume_state(
-                resume, dag, tiled, self.elimination, self.batch_updates
-            )
+            done_idx = check_resume_state(resume, schedule, tiled)
+            order = [i for i in order if i not in done_idx]
             completed_order = list(resume.completed)
             log = list(resume.log)
         factors = factor_store(log)
-        total = len(dag.tasks)
-        b = tiled.tile_size
+        total = len(tasks)
         workspace = Workspace()
         policy = resolve_policy(self.retry_policy, self.chaos, self.health_checks)
         ref_norm = health_ref_norm(tiled) if self.health_checks else None
@@ -402,32 +410,19 @@ class SerialRuntime:
             return {
                 "runtime": "serial",
                 "total_tasks": total,
-                "total_units": sum(t.ncols for t in dag.tasks),
+                "total_units": sum(t.ncols for t in tasks),
                 "grid": [tiled.grid_rows, tiled.grid_cols],
-                "tile_size": b,
-                "completed": len(completed),
+                "tile_size": tiled.tile_size,
+                "completed": total - len(order),
             }
 
         with run_bus(self, bus, "serial", start, lambda: {"tasks": total}) as bus:
             ckpt = _CheckpointWriter(
-                self.checkpoint_every, self.checkpoint_path, dag, tiled, shape, bus
+                self.checkpoint_every, self.checkpoint_path, schedule, tiled, shape, bus
             )
-            done = len(completed)
-            # Critical-path priority dispatch: pop the ready task with the
-            # highest bottom-level rank (emission order breaks ties).
-            ranks = bottom_level_ranks(dag, task_weight_model(b))
-            position = {t: n for n, t in enumerate(dag.tasks)}
-            waiting = {
-                t: sum(1 for d in dag.preds[t] if d not in completed)
-                for t in dag.tasks
-                if t not in completed
-            }
-            heap: list[tuple[float, int, Task]] = []
-            for t in dag.tasks:
-                if t not in completed and waiting[t] == 0:
-                    heappush(heap, (-ranks[t], position[t], t))
-            while heap:
-                _, _, task = heappop(heap)
+            done = total - len(order)
+            for i in order:
+                task = tasks[i]
                 if bus is not None:
                     t0 = bus.clock()
                     bus.task_start(task, "serial", t=t0)
@@ -447,13 +442,7 @@ class SerialRuntime:
                 done += 1
                 if produced is not None:
                     log.append((task, produced))
-                completed.add(task)
                 completed_order.append(task)
-                for succ in dag.succs[task]:
-                    if succ in waiting:
-                        waiting[succ] -= 1
-                        if waiting[succ] == 0:
-                            heappush(heap, (-ranks[succ], position[succ], succ))
                 if ckpt.task_done():
                     ckpt.write(completed_order, log, device="serial")
                 if self.progress is not None:

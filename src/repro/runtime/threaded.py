@@ -20,6 +20,15 @@ dispatch made tall grids latency-bound: every ready update of panel
 ``k`` drained before the panel ``k+1`` factorization task at the head
 of the critical path got a worker.
 
+The graph itself comes from the configuration's cached
+:class:`~repro.dag.schedule.Schedule` (:func:`~repro.dag.schedule.compile_schedule`):
+ranks and successor lists are precomputed index tuples, so a
+``factorize`` call builds no DAG.  Dispatch stays dynamic — completion
+order depends on kernel timing — over a list of integer in-degree
+counters and heap entries ``(-rank, index, seq, task)``: the index
+breaks rank ties in emission order and the unique sequence number keeps
+the heap from ever comparing tasks.
+
 With ``batch_updates=True`` the DAG carries coarsened row-panel update
 tasks.  To keep the update-phase parallelism the per-tile DAG had, a
 ready batch is *split into contiguous column chunks* — one per worker —
@@ -46,17 +55,13 @@ import itertools
 import threading
 from heapq import heappop, heappush
 
-import numpy as np
-
 from ..config import DEFAULT_TILE_SIZE
-from ..dag import build_dag
-from ..dag.analysis import bottom_level_ranks, task_weight_model
+from ..dag.schedule import compile_schedule
 from ..dag.tasks import Task
 from ..dag.trees import canonical_tree
-from ..errors import ShapeError, SimulationError
+from ..errors import SimulationError
 from ..kernels.backends import resolve_backend
 from ..kernels.workspace import Workspace, drain_fallbacks
-from ..tiles import TiledMatrix
 from .core_exec import Factors, apply_task, apply_task_resilient, factor_store
 from .factorization import TiledQRFactorization
 from .serial import (
@@ -196,39 +201,35 @@ class ThreadedRuntime:
     def _factorize(self, a, tile_size: int, resume, bus) -> TiledQRFactorization:
         tiled, shape = coerce_input(a, tile_size, self.batch_updates)
 
-        dag = build_dag(
-            tiled.grid_rows, tiled.grid_cols, self.elimination, self.batch_updates
+        schedule = compile_schedule(
+            tiled.grid_rows, tiled.grid_cols, self.elimination, self.batch_updates,
+            tiled.tile_size,
         )
+        tasks, succs, ranks = schedule.tasks, schedule.succs, schedule.ranks
         log: list[tuple[Task, Factors]] = []
-        completed_set: set[Task] = set()
+        done_idx: frozenset[int] = frozenset()
         completed_order: list[Task] = []
         if resume is not None:
-            completed_set = check_resume_state(
-                resume, dag, tiled, self.elimination, self.batch_updates
-            )
+            done_idx = check_resume_state(resume, schedule, tiled)
             completed_order = list(resume.completed)
             log = list(resume.log)
         factors = factor_store(log)
 
-        remaining = {
-            t: sum(1 for d in dag.preds[t] if d not in completed_set)
-            for t in dag.tasks
-            if t not in completed_set
-        }
-        # Heap-backed ready queue: entries are (-rank, emission position,
-        # sequence, task) so pops are highest-bottom-level-rank first
-        # with a fully deterministic tie-break (the sequence also keeps
-        # the heap from ever comparing Task objects).  Chunks of a split
-        # batch inherit their parent's priority.
-        ranks = bottom_level_ranks(dag, task_weight_model(tiled.tile_size))
-        position = {t: n for n, t in enumerate(dag.tasks)}
+        # In-degree counters over task indices (completed tasks are never
+        # decremented: a legal completed set has no pending predecessor).
+        remaining = [sum(d not in done_idx for d in ps) for ps in schedule.preds]
+        # Heap-backed ready queue: entries are (-rank, index, sequence,
+        # task) so pops are highest-bottom-level-rank first with a fully
+        # deterministic tie-break (the sequence also keeps the heap from
+        # ever comparing Task objects).  Chunks of a split batch inherit
+        # their parent's rank and index.
         ready_heap: list[tuple[float, int, int, Task]] = []
         seq = itertools.count()
 
         lock = threading.Lock()
         cond = threading.Condition(lock)
-        done_count = [len(completed_set)]
-        total = len(dag.tasks)
+        done_count = [len(done_idx)]
+        total = len(tasks)
         errors: list[BaseException] = []
         all_done = threading.Event()
         cancel = threading.Event()
@@ -239,32 +240,31 @@ class ThreadedRuntime:
         if done_count[0] == total:
             all_done.set()
 
-        # Chunked batch bookkeeping: chunk task -> parent DAG task, and
-        # parent -> number of chunks still running.  Mutated under `lock`
-        # except for the initial seeding below (workers not started yet).
-        chunk_parent: dict[Task, Task] = {}
-        chunk_left: dict[Task, int] = {}
+        # Chunked batch bookkeeping: parent index -> number of chunks
+        # still running.  Mutated under `lock` except for the initial
+        # seeding below (workers not started yet).
+        chunk_left: dict[int, int] = {}
 
-        def enqueue(task: Task) -> None:
-            """Push a DAG task, splitting ready batches across workers.
+        def enqueue(i: int) -> None:
+            """Push DAG task ``i``, splitting ready batches across workers.
 
             Caller holds ``cond`` (or no worker is running yet); waiters
             are woken by the caller's ``notify_all``.
             """
-            pri, pos = -ranks[task], position[task]
+            task = tasks[i]
+            pri = -ranks[i]
             if task.is_batch and self.num_workers > 1:
                 chunks = split_batch(task, self.num_workers)
                 if len(chunks) > 1:
-                    chunk_left[task] = len(chunks)
+                    chunk_left[i] = len(chunks)
                     for c in chunks:
-                        chunk_parent[c] = task
-                        heappush(ready_heap, (pri, pos, next(seq), c))
+                        heappush(ready_heap, (pri, i, next(seq), c))
                     return
-            heappush(ready_heap, (pri, pos, next(seq), task))
+            heappush(ready_heap, (pri, i, next(seq), task))
 
-        for t in dag.tasks:
-            if t not in completed_set and remaining[t] == 0:
-                enqueue(t)
+        for i, n_wait in enumerate(remaining):
+            if n_wait == 0 and i not in done_idx:
+                enqueue(i)
 
         policy = resolve_policy(self.retry_policy, self.chaos, self.health_checks)
         ref_norm = health_ref_norm(tiled) if self.health_checks else None
@@ -274,7 +274,7 @@ class ThreadedRuntime:
             return {
                 "runtime": "threaded",
                 "total_tasks": total,
-                "total_units": sum(t.ncols for t in dag.tasks),
+                "total_units": sum(t.ncols for t in tasks),
                 "grid": [tiled.grid_rows, tiled.grid_cols],
                 "tile_size": tiled.tile_size,
                 "workers": self.num_workers,
@@ -283,7 +283,7 @@ class ThreadedRuntime:
 
         with run_bus(self, bus, "manager", start, lambda: {"tasks": total}) as bus:
             ckpt = _CheckpointWriter(
-                self.checkpoint_every, self.checkpoint_path, dag, tiled, shape, bus
+                self.checkpoint_every, self.checkpoint_path, schedule, tiled, shape, bus
             )
 
             def fail(exc: BaseException) -> None:
@@ -297,8 +297,8 @@ class ThreadedRuntime:
                 cancel.set()
                 all_done.set()
 
-            def pop_task() -> Task | None:
-                """Highest-rank ready task; None when the run is over.
+            def pop_task() -> tuple[int, Task] | None:
+                """Highest-rank ready ``(index, task)``; None when the run is over.
 
                 Blocks while the heap is empty or dispatch is paused for a
                 checkpoint; increments ``inflight`` atomically with the pop
@@ -309,18 +309,19 @@ class ThreadedRuntime:
                         if cancel.is_set() or stop[0]:
                             return None
                         if ready_heap and not paused[0]:
-                            _, _, _, task = heappop(ready_heap)
+                            _, i, _, task = heappop(ready_heap)
                             inflight[0] += 1
-                            return task
+                            return i, task
                         cond.wait()
 
             def worker(index: int) -> None:
                 device = f"worker-{index}"
                 workspace = workspaces[index]
                 while True:
-                    task = pop_task()
-                    if task is None:
+                    popped = pop_task()
+                    if popped is None:
                         return
+                    i, task = popped
                     try:
                         if bus is not None:
                             t0 = bus.clock()
@@ -348,26 +349,22 @@ class ThreadedRuntime:
                         return
                     with cond:
                         inflight[0] -= 1
-                        parent = chunk_parent.pop(task, None)
-                        if parent is not None:
-                            chunk_left[parent] -= 1
-                            if chunk_left[parent] > 0:
+                        if i in chunk_left:
+                            chunk_left[i] -= 1
+                            if chunk_left[i] > 0:
                                 cond.notify_all()
                                 continue  # siblings still running; not done yet
-                            del chunk_left[parent]
-                            task = parent  # the DAG-level task just completed
+                            del chunk_left[i]
+                            task = tasks[i]  # the DAG-level task just completed
                         if produced is not None:
                             log.append((task, produced))
                         completed_order.append(task)
                         done_count[0] += 1
                         finished = done_count[0] == total
-                        newly_ready = []
-                        for succ in dag.succs[task]:
-                            remaining[succ] -= 1
-                            if remaining[succ] == 0:
-                                newly_ready.append(succ)
-                        for s in newly_ready:
-                            enqueue(s)
+                        for s in succs[i]:
+                            remaining[s] -= 1
+                            if remaining[s] == 0:
+                                enqueue(s)
                         if ckpt.task_done() and not finished and not cancel.is_set():
                             # Stop the world: block new dispatch, drain
                             # in-flight kernels, snapshot, resume.

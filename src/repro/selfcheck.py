@@ -52,14 +52,22 @@ def _check_factorization() -> str:
 
 
 def _check_dag() -> str:
-    from .dag import build_dag
-    from .dag.analysis import task_counts_total
+    from .dag import build_dag, compile_schedule
+    from .dag.analysis import bottom_level_ranks, task_counts_total, task_weight_model
 
     for p, q in ((5, 5), (7, 3)):
         dag = build_dag(p, q)
         dag.validate()
         assert dag.count_by_step() == task_counts_total(p, q)
-    return "DAG construction and closed forms consistent"
+        sched = compile_schedule(p, q, "flat", False, 16)
+        pos = {i: n for n, i in enumerate(sched.order)}
+        assert len(pos) == len(dag), "schedule order is not a permutation"
+        assert all(
+            pos[d] < pos[i] for i in sched.order for d in sched.preds[i]
+        ), "schedule order is not topological"
+        ranks = bottom_level_ranks(dag, task_weight_model(16))
+        assert sched.ranks == tuple(ranks[t] for t in dag.tasks), "schedule ranks drifted"
+    return "DAG construction, compiled schedule and closed forms consistent"
 
 
 def _check_planner() -> str:

@@ -420,7 +420,7 @@ class TestBackendSelection:
         assert choices == {"devA": DEFAULT_BACKEND, "devB": DEFAULT_BACKEND}
         rec = audit.get(STAGE_BACKEND)
         assert rec is not None
-        assert "reference fallback" in rec.notes["devA"]
+        assert f"{DEFAULT_BACKEND} fallback" in rec.notes["devA"]
         assert all(c.chosen for c in rec.candidates)
 
     def test_measured_profile_picks_fastest_backend(self):

@@ -1,5 +1,8 @@
 """Tests for the numeric runtimes (serial, threaded) and the factorization."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +84,31 @@ class TestThreadedRuntime:
         f_t = ThreadedRuntime(num_workers=workers).factorize(a, 16)
         np.testing.assert_allclose(f_t.r_dense(), f_s.r_dense(), atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_dispatch_stress_many_workers(self, rng, batch):
+        """More workers than cores and a tiny switch interval: a lost
+        in-degree or chunk-count update would drop, repeat or hang a task."""
+        a = rng.standard_normal((112, 80))
+        f_s = tiled_qr(a, 16, batch_updates=batch)
+        result = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: result.append(
+                    ThreadedRuntime(num_workers=6, batch_updates=batch).factorize(a, 16)
+                ),
+                daemon=True,
+            )
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not runner.is_alive() and len(result) == 1
+        f_t = result[0]
+        assert sorted(t for t, _ in f_t.log) == sorted(t for t, _ in f_s.log)
+        np.testing.assert_allclose(f_t.r_dense(), f_s.r_dense(), atol=1e-12)
+
     def test_q_valid_despite_reordering(self, rng):
         a = rng.standard_normal((80, 80))
         f = ThreadedRuntime(num_workers=3).factorize(a, 16)
@@ -117,6 +145,27 @@ def test_rejects_complex_input(rng, optimizer, runtime):
     with pytest.raises(TilingError, match="complex") as info:
         make().factorize(a, 16)
     assert exit_code_for(info.value) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("runtime", ["serial", "threaded", "multiprocess"])
+def test_rejects_nonfinite_input(rng, optimizer, runtime):
+    """A NaN or Inf entry is refused with a config-class error (CLI exit
+    code 2) instead of silently producing a NaN R."""
+    from repro.cli import EXIT_CONFIG, exit_code_for
+
+    make = {
+        "serial": SerialRuntime,
+        "threaded": lambda: ThreadedRuntime(num_workers=2),
+        "multiprocess": lambda: MultiprocessRuntime(
+            optimizer.plan(matrix_size=32, num_devices=2)
+        ),
+    }[runtime]
+    for bad in (np.nan, np.inf, -np.inf):
+        a = rng.standard_normal((32, 32))
+        a[17, 5] = bad
+        with pytest.raises(TilingError, match="NaN or Inf") as info:
+            make().factorize(a, 16)
+        assert exit_code_for(info.value) == EXIT_CONFIG
 
 
 class TestFactorizationOps:
